@@ -732,11 +732,9 @@ Result<InferenceResult> RunInferTurboMapReduce(
     // I/O overlaps the rebuild), run the resident path, and still
     // report the storage work done.
     PipelineStats stats;
-    MaterializeOptions materialize;
-    materialize.pipeline_slots = options.storage_pipeline_slots;
-    materialize.stats = &stats;
-    INFERTURBO_ASSIGN_OR_RETURN(Graph graph,
-                                MaterializeGraph(view, materialize));
+    INFERTURBO_ASSIGN_OR_RETURN(
+        Graph graph,
+        MaterializeGraph(view, {options.storage_pipeline_slots, &stats}));
     INFERTURBO_ASSIGN_OR_RETURN(
         InferenceResult result,
         RunInferTurboMapReduce(graph, model, options));

@@ -563,11 +563,9 @@ Result<InferenceResult> RunInferTurboPregel(const GraphView& view,
     INFERTURBO_RETURN_NOT_OK(view.PinHotSet(threshold).status());
   }
   PipelineStats stats;
-  MaterializeOptions materialize;
-  materialize.pipeline_slots = options.storage_pipeline_slots;
-  materialize.stats = &stats;
-  INFERTURBO_ASSIGN_OR_RETURN(Graph graph,
-                              MaterializeGraph(view, materialize));
+  INFERTURBO_ASSIGN_OR_RETURN(
+      Graph graph,
+      MaterializeGraph(view, {options.storage_pipeline_slots, &stats}));
   INFERTURBO_ASSIGN_OR_RETURN(InferenceResult result,
                               RunInferTurboPregel(graph, model, options));
   result.metrics.storage = view.storage_metrics();

@@ -74,10 +74,11 @@ struct ClusterCostModel {
 };
 
 /// Out-of-core storage accounting (src/storage/): how many bytes of
-/// shard files a job had mapped, and how well the prefetcher hid the
-/// map cost. A job that never touched the shard store reports zeros.
+/// shard files a job had resident, and how well the shard pipeline hid
+/// the load cost. A job that never touched the shard store reports
+/// zeros.
 struct StorageMetrics {
-  /// Shard bytes currently mapped (mmap or heap fallback).
+  /// Shard bytes currently resident.
   std::uint64_t bytes_mapped = 0;
   /// High-water mark of bytes_mapped over the store's lifetime — the
   /// number the memory-budget contract is checked against.
@@ -89,12 +90,6 @@ struct StorageMetrics {
   /// Map() requests satisfied by an already-mapped shard.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  /// Async prefetches issued / finished loading.
-  std::int64_t prefetch_issued = 0;
-  std::int64_t prefetch_completed = 0;
-  /// Map() requests whose shard was resident because a prefetch loaded
-  /// it (subset of cache_hits).
-  std::int64_t prefetch_hits = 0;
   /// Cache entries dropped to respect the memory budget.
   std::int64_t evictions = 0;
   /// Shards rejected on load because a page failed CRC/bounds checks.
@@ -113,12 +108,9 @@ struct StorageMetrics {
   /// in-flight load.
   double pipeline_wait_seconds = 0.0;
   /// How shard bytes were read: a ShardReadPath numeric code
-  /// (0 auto / 1 mmap / 2 pread / 3 direct / 4 uring). Provenance for
+  /// (0 none / 1 pread / 2 injector). Provenance for
   /// BENCH_storage.json and the run report.
   std::int64_t read_path = 0;
-  /// Loads where the detected read tier failed mid-job and the store
-  /// fell back to mmap for that shard.
-  std::int64_t read_path_fallbacks = 0;
 
   /// Folds another stage's storage accounting into this one: activity
   /// counters sum, instantaneous/high-water byte gauges take the max
@@ -130,9 +122,6 @@ struct StorageMetrics {
     unmap_calls += other.unmap_calls;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_completed += other.prefetch_completed;
-    prefetch_hits += other.prefetch_hits;
     evictions += other.evictions;
     checksum_failures += other.checksum_failures;
     pinned_bytes = std::max(pinned_bytes, other.pinned_bytes);
@@ -141,7 +130,6 @@ struct StorageMetrics {
     overlap_seconds += other.overlap_seconds;
     pipeline_wait_seconds += other.pipeline_wait_seconds;
     read_path = std::max(read_path, other.read_path);
-    read_path_fallbacks += other.read_path_fallbacks;
   }
 };
 

@@ -4,6 +4,7 @@
 
 #include "src/graph/graph_builder.h"
 #include "src/graph/partition.h"
+#include "src/storage/shard_pipeline.h"
 
 namespace inferturbo {
 namespace {
@@ -100,36 +101,16 @@ Result<PartitionSlice> ShardGraphView::AcquirePartition(
   return slice;
 }
 
-void ShardGraphView::PrefetchPartition(std::int64_t partition) const {
-  // Guard at the view boundary: drivers hint p+1 while sweeping, so the
-  // last partition's hint lands out of range and must cost nothing —
-  // not even the store's range check path is worth trusting here, this
-  // is the documented no-op point.
-  if (partition < 0 || partition >= num_partitions()) return;
-  store_.Prefetch(partition);
-}
-
 Result<std::int64_t> ShardGraphView::PinHotSet(
     std::int64_t hub_threshold) const {
   return store_.PinHotSet(hub_threshold);
 }
 
-Result<Graph> MaterializeGraph(const GraphView& view) {
-  if (const Graph* resident = view.resident_graph()) {
-    return *resident;  // already whole; copy rather than re-gather
-  }
-  return storage_internal::MaterializeWith(
-      view, [&view](std::int64_t p) {
-        view.PrefetchPartition(p + 1);
-        return view.AcquirePartition(p);
-      });
-}
+namespace {
 
-namespace storage_internal {
-
-Result<Graph> MaterializeWith(
-    const GraphView& view,
-    const std::function<Result<PartitionSlice>(std::int64_t)>& acquire) {
+/// The rebuild behind MaterializeGraph: validates every slice and
+/// places each node and edge at its original id.
+Result<Graph> RebuildGraph(const GraphView& view, ShardPipeline* pipeline) {
   const std::int64_t num_nodes = view.num_nodes();
   const std::int64_t num_edges = view.num_edges();
   const std::int64_t fd = view.feature_dim();
@@ -149,7 +130,7 @@ Result<Graph> MaterializeWith(
   std::vector<bool> node_seen(static_cast<std::size_t>(num_nodes), false);
 
   for (std::int64_t p = 0; p < view.num_partitions(); ++p) {
-    INFERTURBO_ASSIGN_OR_RETURN(PartitionSlice slice, acquire(p));
+    INFERTURBO_ASSIGN_OR_RETURN(PartitionSlice slice, pipeline->Acquire(p));
     if (slice.out_offsets.size() != slice.nodes.size() + 1) {
       return Status::IoError("partition " + std::to_string(p) +
                              " slice has inconsistent CSR offsets");
@@ -212,6 +193,17 @@ Result<Graph> MaterializeWith(
   return std::move(builder).Finish();
 }
 
-}  // namespace storage_internal
+}  // namespace
+
+Result<Graph> MaterializeGraph(const GraphView& view,
+                               const MaterializeOptions& options) {
+  if (const Graph* resident = view.resident_graph()) {
+    return *resident;  // already whole; copy rather than re-gather
+  }
+  ShardPipeline pipeline(view, ShardPipelineOptions{options.pipeline_slots});
+  Result<Graph> out = RebuildGraph(view, &pipeline);
+  if (options.stats != nullptr) options.stats->Merge(pipeline.stats());
+  return out;
+}
 
 }  // namespace inferturbo

@@ -43,7 +43,7 @@ std::int64_t ShardPipeline::PickTargetLocked() {
   if (best >= 0) return best;
   // Ahead scheduling: the cursor walks 0..P-1 once, skipping partitions
   // already scheduled or consumed, and never runs past the last
-  // partition (out-of-range prefetch was the old scheme's bug).
+  // partition.
   while (next_ahead_ < num_partitions_ &&
          (slots_.count(next_ahead_) != 0 ||
           consumed_.count(next_ahead_) != 0)) {
@@ -167,20 +167,6 @@ Result<PartitionSlice> ShardPipeline::Acquire(std::int64_t partition) {
 PipelineStats ShardPipeline::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-Result<Graph> MaterializeGraph(const GraphView& view,
-                               const MaterializeOptions& options) {
-  if (const Graph* resident = view.resident_graph()) {
-    return *resident;  // already whole; copy rather than re-gather
-  }
-  ShardPipeline pipeline(view,
-                         ShardPipelineOptions{options.pipeline_slots});
-  Result<Graph> out = storage_internal::MaterializeWith(
-      view,
-      [&pipeline](std::int64_t p) { return pipeline.Acquire(p); });
-  if (options.stats != nullptr) options.stats->Merge(pipeline.stats());
-  return out;
 }
 
 }  // namespace inferturbo

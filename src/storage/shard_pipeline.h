@@ -52,10 +52,7 @@ struct PipelineStats {
 
 /// Explicit double-buffered streaming over a GraphView: one dedicated
 /// loader thread fills up to `slots` partitions ahead of the consumer,
-/// and Acquire(p) hands off through an explicit ready-future — the
-/// replacement for the demand-Map-races-Prefetch scheme (which queued
-/// fire-and-forget loads on the busy compute pool, so "prefetched"
-/// streaming benchmarked *slower* than plain streaming).
+/// and Acquire(p) hands off through an explicit ready-future.
 ///
 /// Contract: one sweep. Each partition is acquired at most once per
 /// pipeline instance (a second Acquire of the same partition degrades
@@ -122,21 +119,6 @@ class ShardPipeline {
 
   std::thread loader_;
 };
-
-/// Options for the pipeline-aware MaterializeGraph overload.
-struct MaterializeOptions {
-  /// Pipeline window used while sweeping partitions; <= 0 streams on
-  /// demand (the original behavior).
-  int pipeline_slots = 2;
-  /// When set, the sweep's pipeline accounting is merged in.
-  PipelineStats* stats = nullptr;
-};
-
-/// MaterializeGraph with the partition sweep running on a
-/// ShardPipeline, so shard I/O for partition p+1 overlaps the rebuild
-/// of partition p. Byte-identical output to the plain overload.
-Result<Graph> MaterializeGraph(const GraphView& view,
-                               const MaterializeOptions& options);
 
 }  // namespace inferturbo
 

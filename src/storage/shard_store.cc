@@ -1,16 +1,15 @@
 #include "src/storage/shard_store.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstring>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -20,32 +19,46 @@
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "src/tensor/tensor.h"
 
 namespace inferturbo {
 
-MappedShard::~MappedShard() {
-  if (mmap_base_ != nullptr) {
-    ::munmap(mmap_base_, size_);
+std::string_view ShardReadPathName(ShardReadPath path) {
+  switch (path) {
+    case ShardReadPath::kPread:
+      return "pread";
+    case ShardReadPath::kInjector:
+      return "injector";
   }
+  return "none";
+}
+
+void AlignedShardBuffer::Free::operator()(char* p) const {
+  detail::FreeFloatBuffer(p);
+}
+
+AlignedShardBuffer AlignedShardBuffer::Allocate(std::size_t size) {
+  AlignedShardBuffer out;
+  out.storage_.reset(static_cast<char*>(detail::AllocFloatBuffer(size)));
+  out.size_ = size;
+  return out;
 }
 
 struct ShardStore::State {
   ShardStoreOptions options;
   ShardMeta meta;
-  /// The tier Open() resolved for this store (never kAuto).
-  ShardReadPath read_path = ShardReadPath::kMmap;
+  /// How this store loads shards, fixed at Open().
+  ShardReadPath read_path = ShardReadPath::kPread;
 
   mutable std::mutex mu;
   struct CacheEntry {
     ShardLease lease;
     std::uint64_t last_use = 0;
-    bool from_prefetch = false;
     /// Pinned entries belong to the hub hot-set: LRU eviction skips
     /// them, so they stay resident across supersteps.
     bool pinned = false;
   };
   std::unordered_map<std::int64_t, CacheEntry> cache;
-  std::unordered_set<std::int64_t> prefetching;
   std::uint64_t tick = 0;
   /// Hot-set accounting, guarded by `mu`.
   std::uint64_t pinned_bytes = 0;
@@ -68,8 +81,6 @@ struct ShardStoreInternal {
       std::string bytes, bool verify_checksums);
   static Result<std::unique_ptr<MappedShard>> BuildFromBuffer(
       AlignedShardBuffer buffer, bool verify_checksums);
-  static Result<std::unique_ptr<MappedShard>> MapFromFile(
-      const std::string& path, bool verify_checksums);
 };
 
 /// Validates the shard image behind `shard->base_`/`size_` and fills in
@@ -147,8 +158,8 @@ Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromHeap(
   return shard;
 }
 
-/// Aligned-buffer-backed shard: the whole file image arrived through
-/// the direct-I/O read ladder (pread / O_DIRECT / io_uring).
+/// Aligned-buffer-backed shard: the whole file image arrived in one
+/// pread pass.
 Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromBuffer(
     AlignedShardBuffer buffer, bool verify_checksums) {
   std::unique_ptr<MappedShard> shard(new MappedShard());
@@ -159,40 +170,72 @@ Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromBuffer(
   return shard;
 }
 
-/// mmap-backed shard (PROT_READ, MAP_PRIVATE): the kernel pages data in
-/// on demand and can drop clean pages under pressure.
-Result<std::unique_ptr<MappedShard>> ShardStoreInternal::MapFromFile(
-    const std::string& path, bool verify_checksums) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("cannot open shard file " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return Status::IoError("cannot stat shard file " + path);
-  }
-  const std::size_t size = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::IoError("mmap failed for shard file " + path);
-  }
-  std::unique_ptr<MappedShard> shard(new MappedShard());
-  shard->mmap_base_ = base;
-  shard->base_ = static_cast<const char*>(base);
-  shard->size_ = size;
-  // ~MappedShard munmaps on the validation-failure path.
-  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
-  return shard;
-}
-
 namespace {
 
 using State = ShardStore::State;
 
 bool IsChecksumError(const Status& status) {
   return status.message().find("checksum mismatch") != std::string::npos;
+}
+
+/// Reads exactly `len` bytes at `offset`; a file that ends first is an
+/// IoError.
+Status PreadExact(int fd, char* dst, std::size_t len, std::size_t offset,
+                  const std::string& path) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, dst + got, len - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::IoError("pread failed for " + path + ": " +
+                             std::strerror(errno));
+    }
+    if (n == 0) {
+      return Status::IoError(path + " ended after " +
+                             std::to_string(offset + got) + " of " +
+                             std::to_string(offset + len) + " bytes");
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return Status::OK();
+}
+
+/// The one disk load: the whole file in one sequential-advised,
+/// buffered pread pass into an aligned buffer.
+Result<AlignedShardBuffer> ReadShardFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IoError("cannot open shard file " + path);
+  }
+  ::posix_fadvise(fd, 0, 0, POSIX_FADV_SEQUENTIAL);
+  Result<AlignedShardBuffer> buffer =
+      Status::IoError("cannot stat shard file " + path);
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size >= 0) {
+    buffer = AlignedShardBuffer::Allocate(static_cast<std::size_t>(st.st_size));
+    const Status status =
+        PreadExact(fd, buffer->data(), buffer->size(), 0, path);
+    if (!status.ok()) buffer = status;
+  }
+  ::close(fd);
+  return buffer;
+}
+
+/// Records one completed shard read: histogram "storage.read.seconds"
+/// plus counters "storage.read.bytes" and "storage.read.reads", which
+/// the run report's read_latency section summarizes.
+void ObserveShardRead(double seconds, std::size_t bytes) {
+  if (!MetricsEnabled()) return;
+  static Histogram* const latency =
+      GlobalMetrics().GetHistogram("storage.read.seconds");
+  static Counter* const read_bytes =
+      GlobalMetrics().GetCounter("storage.read.bytes");
+  static Counter* const reads =
+      GlobalMetrics().GetCounter("storage.read.reads");
+  latency->Observe(seconds);
+  read_bytes->Add(static_cast<std::int64_t>(bytes));
+  reads->Increment();
 }
 
 /// Cross-checks a loaded shard against the meta's expectations for that
@@ -287,22 +330,8 @@ Result<std::int64_t> HubEdgesForPartition(const std::string& path,
   if (fd < 0) {
     return Status::IoError("cannot open shard file " + path);
   }
-  const auto pread_exact = [fd, &path](char* dst, std::size_t len,
-                                       std::size_t off) {
-    std::size_t got = 0;
-    while (got < len) {
-      const ssize_t n = ::pread(fd, dst + got, len - got,
-                                static_cast<off_t>(off + got));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        return Status::IoError("short read of shard prefix in " + path);
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    return Status::OK();
-  };
   std::string prefix(ShardPayloadStart(), '\0');
-  Status status = pread_exact(prefix.data(), prefix.size(), 0);
+  Status status = PreadExact(fd, prefix.data(), prefix.size(), 0, path);
   PageEntry offsets_entry;
   if (status.ok()) {
     // Slot 1 of the page table is kOutOffsets (the local CSR).
@@ -311,8 +340,8 @@ Result<std::int64_t> HubEdgesForPartition(const std::string& path,
   std::vector<std::int64_t> offsets;
   if (status.ok()) {
     offsets.resize(offsets_entry.bytes / sizeof(std::int64_t));
-    status = pread_exact(reinterpret_cast<char*>(offsets.data()),
-                         offsets_entry.bytes, offsets_entry.offset);
+    status = PreadExact(fd, reinterpret_cast<char*>(offsets.data()),
+                        offsets_entry.bytes, offsets_entry.offset, path);
   }
   ::close(fd);
   INFERTURBO_RETURN_NOT_OK(status);
@@ -322,34 +351,6 @@ Result<std::int64_t> HubEdgesForPartition(const std::string& path,
     if (degree > hub_threshold) hub_edges += degree;
   }
   return hub_edges;
-}
-
-/// Non-injector load through the resolved read tier, with mmap as the
-/// safety net when a buffered/direct/uring read fails mid-job (the
-/// probe passed at Open, but a filesystem can still refuse O_DIRECT on
-/// a particular file, or a ring allocation can hit a limit). Validation
-/// failures are returned as-is — re-reading corrupt bytes through mmap
-/// cannot fix them.
-Result<std::unique_ptr<MappedShard>> LoadFromDisk(
-    const std::shared_ptr<State>& s, const std::string& path) {
-  if (s->read_path != ShardReadPath::kMmap) {
-    Result<AlignedShardBuffer> bytes = ReadFileAligned(path, s->read_path);
-    if (bytes.ok()) {
-      return ShardStoreInternal::BuildFromBuffer(
-          std::move(*bytes), s->options.verify_checksums);
-    }
-    std::lock_guard<std::mutex> lock(s->mu);
-    ++s->counters.read_path_fallbacks;
-  }
-  const bool timed = MetricsEnabled();
-  WallTimer timer;
-  Result<std::unique_ptr<MappedShard>> mapped =
-      ShardStoreInternal::MapFromFile(path, s->options.verify_checksums);
-  if (timed && mapped.ok()) {
-    ObserveShardRead(ShardReadPath::kMmap, timer.ElapsedSeconds(),
-                     static_cast<std::int64_t>((*mapped)->mapped_bytes()));
-  }
-  return mapped;
 }
 
 /// Loads + validates one shard. No budget accounting happens here —
@@ -368,13 +369,18 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
       ++s->counters.checksum_failures;
     }
   };
-  if (s->options.fault_injector != nullptr) {
+  // Time only when metrics are on, so the disabled cost is one relaxed
+  // load + branch per read.
+  const bool timed = MetricsEnabled();
+  if (s->read_path == ShardReadPath::kInjector) {
     // Read through the injector so faults apply; corruption is only
     // detectable after validation, so the retry wraps read + validate.
     const Status status = RetryWithBackoff(s->options.retry, [&]() {
+      WallTimer timer;
       Result<std::string> bytes =
           ReadFileToString(path, s->options.fault_injector);
       INFERTURBO_RETURN_NOT_OK(bytes.status());
+      if (timed) ObserveShardRead(timer.ElapsedSeconds(), bytes->size());
       Result<std::unique_ptr<MappedShard>> built =
           ShardStoreInternal::BuildFromHeap(std::move(*bytes),
                                             s->options.verify_checksums);
@@ -389,7 +395,15 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
       return Status::IoError(path + ": " + status.message());
     }
   } else {
-    Result<std::unique_ptr<MappedShard>> built = LoadFromDisk(s, path);
+    WallTimer timer;
+    Result<AlignedShardBuffer> bytes = ReadShardFile(path);
+    if (!bytes.ok()) {
+      return Status::IoError(path + ": " + bytes.status().message());
+    }
+    if (timed) ObserveShardRead(timer.ElapsedSeconds(), bytes->size());
+    Result<std::unique_ptr<MappedShard>> built =
+        ShardStoreInternal::BuildFromBuffer(std::move(*bytes),
+                                            s->options.verify_checksums);
     if (!built.ok()) {
       note_checksum_failure(built.status());
       return Status::IoError(path + ": " + built.status().message());
@@ -416,8 +430,7 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
 /// outliving the store stays valid.
 ShardLease PublishLocked(const std::shared_ptr<State>& s,
                          std::int64_t partition,
-                         std::unique_ptr<MappedShard> shard,
-                         bool from_prefetch) {
+                         std::unique_ptr<MappedShard> shard) {
   const std::size_t size = shard->mapped_bytes();
   EvictForLocked(*s, size);
   s->bytes_mapped.fetch_add(size, std::memory_order_relaxed);
@@ -448,7 +461,6 @@ ShardLease PublishLocked(const std::shared_ptr<State>& s,
   State::CacheEntry entry;
   entry.lease = lease;
   entry.last_use = ++s->tick;
-  entry.from_prefetch = from_prefetch;
   s->cache[partition] = std::move(entry);
   return lease;
 }
@@ -484,18 +496,11 @@ Result<ShardStore> ShardStore::Open(ShardStoreOptions options) {
   auto state = std::make_shared<State>();
   state->options = std::move(options);
   state->meta = std::move(meta);
-  // Resolve the read tier once per store. An armed fault injector needs
-  // every byte to flow through ReadFileToString, which the heap path
-  // (reported as kMmap provenance) provides; otherwise probe the ladder
-  // against the meta file, which lives on the same filesystem as the
-  // shards.
-  if (state->options.fault_injector != nullptr) {
-    state->read_path = ShardReadPath::kMmap;
-  } else if (state->options.read_path == ShardReadPath::kAuto) {
-    state->read_path = DetectShardReadPath(meta_path);
-  } else {
-    state->read_path = state->options.read_path;
-  }
+  // A fault injector needs every byte to flow through ReadFileToString
+  // so its faults apply; everything else takes the one pread load.
+  state->read_path = state->options.fault_injector != nullptr
+                         ? ShardReadPath::kInjector
+                         : ShardReadPath::kPread;
   return ShardStore(std::move(state));
 }
 
@@ -519,13 +524,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
     if (it != s.cache.end()) {
       ++s.counters.cache_hits;
       if (it->second.pinned) ++s.counters.pinned_hits;
-      if (it->second.from_prefetch) {
-        ++s.counters.prefetch_hits;
-        if (MetricsEnabled()) {
-          GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-        }
-        it->second.from_prefetch = false;
-      }
       it->second.last_use = ++s.tick;
       return it->second.lease;
     }
@@ -538,61 +536,12 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.cache.find(partition);
   if (it != s.cache.end()) {
-    // A prefetch (or a concurrent Map) beat us; keep the incumbent and
-    // drop our never-charged duplicate — never block on an in-flight
-    // load.
+    // A concurrent Map beat us; keep the incumbent and drop our
+    // never-charged duplicate.
     it->second.last_use = ++s.tick;
-    if (it->second.from_prefetch) {
-      ++s.counters.prefetch_hits;
-      if (MetricsEnabled()) {
-        GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-      }
-      it->second.from_prefetch = false;
-    }
     return it->second.lease;
   }
-  return PublishLocked(state_, partition, std::move(shard),
-                       /*from_prefetch=*/false);
-}
-
-void ShardStore::Prefetch(std::int64_t partition) {
-  State& s = *state_;
-  if (s.options.prefetch_pool == nullptr || partition < 0 ||
-      partition >= s.meta.num_partitions()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.cache.count(partition) != 0 ||
-        s.prefetching.count(partition) != 0) {
-      return;
-    }
-    s.prefetching.insert(partition);
-    ++s.counters.prefetch_issued;
-    if (MetricsEnabled()) {
-      GlobalMetrics().GetCounter("storage.prefetch_issued")->Increment();
-    }
-  }
-  // The task holds the State shared_ptr, so a store destroyed while a
-  // prefetch is in flight stays valid until the task finishes.
-  const std::shared_ptr<State> state = state_;
-  s.options.prefetch_pool->Submit([state, partition]() {
-    TraceSpan span("storage/prefetch", partition);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      EvictForLocked(*state, ExpectedShardBytes(state->meta, partition));
-    }
-    Result<std::unique_ptr<MappedShard>> shard = LoadShard(state, partition);
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->prefetching.erase(partition);
-    ++state->counters.prefetch_completed;
-    // A failed prefetch is dropped silently: the next Map() repeats the
-    // load and surfaces the error on the demand path.
-    if (!shard.ok()) return;
-    if (state->cache.count(partition) != 0) return;  // demand load won
-    PublishLocked(state, partition, std::move(*shard),
-                  /*from_prefetch=*/true);
-  });
+  return PublishLocked(state_, partition, std::move(shard));
 }
 
 Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {

@@ -2,28 +2,66 @@
 #define INFERTURBO_STORAGE_SHARD_STORE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "src/common/io_fault.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/pregel/worker_metrics.h"
 #include "src/storage/shard_format.h"
-#include "src/storage/shard_reader.h"
 
 namespace inferturbo {
 
+/// How a store turns shard files into resident bytes — recorded as
+/// provenance in StorageMetrics::read_path, the run report and the
+/// benches. Numeric codes are stable; 0 means no shard store served
+/// the run.
+enum class ShardReadPath : int {
+  /// One buffered pread (POSIX_FADV_SEQUENTIAL) of the whole file into
+  /// an AlignedShardBuffer: every store without a fault injector.
+  kPread = 1,
+  /// A heap read through the configured IoFaultInjector, with retry.
+  kInjector = 2,
+};
+
+/// Stable lowercase name: "pread", "injector", or "none" for code 0.
+std::string_view ShardReadPathName(ShardReadPath path);
+
+/// A whole shard file image in one allocation from the tensor
+/// allocator: 2 MiB-aligned and MADV_HUGEPAGE-advised from 2 MiB up
+/// (shards are the multi-MB streaming case it exists for), malloc-
+/// aligned below — enough for every page's int64/float view, since
+/// pages sit at kPageAlignment offsets.
+class AlignedShardBuffer {
+ public:
+  AlignedShardBuffer() = default;
+
+  /// Throws std::bad_alloc when memory is exhausted, like Tensor.
+  static AlignedShardBuffer Allocate(std::size_t size);
+
+  const char* data() const { return storage_.get(); }
+  char* data() { return storage_.get(); }
+  std::size_t size() const { return size_; }
+
+ private:
+  struct Free {
+    void operator()(char* p) const;
+  };
+  std::unique_ptr<char[], Free> storage_;
+  std::size_t size_ = 0;
+};
+
 /// One validated, resident shard: typed views over its pages. The
-/// backing memory is an mmap'd read-only file, an aligned buffer filled
-/// by the direct-I/O read ladder, or (when a fault injector is active)
-/// a heap copy; either way it is immutable and outlives every span
-/// handed out, for as long as the MappedShard does.
+/// backing memory is an aligned buffer filled by one pread or (when a
+/// fault injector is active) a heap copy; either way it is immutable
+/// and outlives every span handed out, for as long as the MappedShard
+/// does.
 class MappedShard {
  public:
-  ~MappedShard();
   MappedShard(const MappedShard&) = delete;
   MappedShard& operator=(const MappedShard&) = delete;
 
@@ -77,9 +115,8 @@ class MappedShard {
   std::array<PageEntry, kNumPageKinds> entries_{};
   const char* base_ = nullptr;
   std::size_t size_ = 0;
-  void* mmap_base_ = nullptr;   ///< non-null when backed by mmap
   std::string heap_;            ///< backing bytes on the injector path
-  AlignedShardBuffer buffer_;   ///< backing bytes on the read ladder
+  AlignedShardBuffer buffer_;   ///< backing bytes on the pread path
 };
 
 /// A lease pins one shard resident. The shard stays mapped — and its
@@ -96,19 +133,11 @@ struct ShardStoreOptions {
   std::uint64_t memory_budget_bytes = 0;
   /// Verify every page's CRC32 (and CSR offset sanity) on first map.
   bool verify_checksums = true;
-  /// Pool for async Prefetch; nullptr makes Prefetch a no-op.
-  ThreadPool* prefetch_pool = nullptr;
   /// Optional fault injection: when set, shards are read through
-  /// ReadFileToString (heap fallback) so every IoFaultKind applies.
+  /// ReadFileToString (heap read, ShardReadPath::kInjector) so every
+  /// IoFaultKind applies.
   IoFaultInjector* fault_injector = nullptr;
   IoRetryPolicy retry;
-  /// How shard bytes get resident. kAuto probes the ladder (io_uring →
-  /// O_DIRECT → fadvise-pread → mmap) against the pack's meta file at
-  /// Open(); any other value forces that tier. A forced non-mmap tier
-  /// that fails at load time falls back to mmap for that shard (counted
-  /// in read_path_fallbacks). Ignored while a fault injector is set —
-  /// injected faults need the heap read path.
-  ShardReadPath read_path = ShardReadPath::kAuto;
   /// Budget carved out of memory_budget_bytes for the pinned hub
   /// hot-set (PinHotSet). Pinned shards never cycle through the LRU;
   /// the LRU works the remaining memory_budget_bytes - pinned bytes.
@@ -123,11 +152,8 @@ struct ShardStoreOptions {
 ///
 /// Map(p) returns a lease on partition p, loading + validating the file
 /// on a miss and evicting LRU cached shards first to stay under budget.
-/// Prefetch(p) schedules the same load on the configured pool so the
-/// next partition is resident by the time the pipeline asks for it.
-/// Loads never block on an in-flight prefetch of the same shard — a
-/// duplicate load may race and the loser is dropped — so a slow or
-/// wedged pool can never deadlock a Map() caller.
+/// Overlapping loads with compute is ShardPipeline's job. Concurrent
+/// misses on one partition may both load; the loser is dropped.
 ///
 /// Thread-safe; cheap to copy (shared handle to one cache). Corruption
 /// (bad magic, truncation, CRC mismatch, inconsistent counts) surfaces
@@ -143,10 +169,6 @@ class ShardStore {
   /// Returns a lease on partition p, loading it if not resident.
   Result<ShardLease> Map(std::int64_t partition);
 
-  /// Schedules an async load of partition p (no-op without a pool, or
-  /// when p is already resident or being prefetched).
-  void Prefetch(std::int64_t partition);
-
   /// Builds the pinned hub hot-set: ranks partitions by the out-edges
   /// their hub nodes carry (nodes whose out-degree exceeds
   /// `hub_threshold` — the same nodes the activation threshold flags),
@@ -161,8 +183,8 @@ class ShardStore {
   /// is 0. Call once, before streaming starts; idempotent.
   Result<std::int64_t> PinHotSet(std::int64_t hub_threshold);
 
-  /// The read tier Open() resolved (never kAuto). kMmap whenever a
-  /// fault injector forces the heap path.
+  /// How this store loads shards: kInjector when a fault injector is
+  /// set, kPread otherwise.
   ShardReadPath read_path() const;
 
   /// Point-in-time snapshot of the store's counters.

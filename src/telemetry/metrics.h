@@ -100,7 +100,9 @@ struct HistogramSnapshot {
   /// interval).
   HistogramSnapshot DeltaSince(const HistogramSnapshot& earlier) const;
 
-  /// Same interpolation as Histogram::Percentile, over this snapshot.
+  /// Quantile estimate in [0, 1]: cumulative bucket walk with linear
+  /// interpolation inside the winning bucket, clamped to `max`.
+  /// Returns 0 when empty.
   double Percentile(double q) const;
   double BucketUpperBound(int i) const;
 };
@@ -121,7 +123,8 @@ class Histogram {
   double max() const;
 
   /// Quantile estimate in [0, 1] via cumulative bucket walk with linear
-  /// interpolation inside the winning bucket. Returns 0 when empty.
+  /// interpolation inside the winning bucket, never above max().
+  /// Returns 0 when empty. Same as Snapshot().Percentile(q).
   double Percentile(double q) const;
 
   /// Inclusive upper bound of bucket `i` (the last bucket is +inf).

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/common/atomic_file.h"
-#include "src/storage/shard_reader.h"
+#include "src/storage/shard_store.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/perf_counters.h"
 
@@ -24,40 +24,24 @@ JsonValue WorkerTotalsJson(const WorkerStepMetrics& t) {
   });
 }
 
-/// Per-read-path latency distributions, from the instruments
-/// ObserveShardRead feeds. Only tiers that actually served reads this
-/// run appear, so an in-memory run's storage section stays compact and
-/// a `read_path_fallbacks` regression is visible as a second tier
-/// (mmap) showing up next to the configured one.
+/// Shard read latency, from the instruments the shard store feeds on
+/// every load. Empty when no shard was read this run.
 JsonValue ReadLatencyJson() {
-  JsonValue::Object out;
-  for (const ShardReadPath path :
-       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kDirect,
-        ShardReadPath::kUring}) {
-    const std::string name(ShardReadPathName(path));
-    const std::string base = "storage.read." + name;
-    Counter* reads = GlobalMetrics().GetCounter(base + ".reads");
-    if (reads->value() == 0) continue;
-    Histogram* seconds = GlobalMetrics().GetHistogram(base + ".seconds");
-    Counter* bytes = GlobalMetrics().GetCounter(base + ".bytes");
-    out[name] = JsonValue(JsonValue::Object{
-        {"reads", JsonValue(reads->value())},
-        {"bytes", JsonValue(bytes->value())},
-        {"p50_seconds", JsonValue(seconds->Percentile(0.50))},
-        {"p95_seconds", JsonValue(seconds->Percentile(0.95))},
-        {"p99_seconds", JsonValue(seconds->Percentile(0.99))},
-        {"max_seconds", JsonValue(seconds->max())},
-    });
-  }
-  return JsonValue(std::move(out));
+  Counter* reads = GlobalMetrics().GetCounter("storage.read.reads");
+  if (reads->value() == 0) return JsonValue(JsonValue::Object{});
+  Histogram* seconds = GlobalMetrics().GetHistogram("storage.read.seconds");
+  return JsonValue(JsonValue::Object{
+      {"reads", JsonValue(reads->value())},
+      {"bytes",
+       JsonValue(GlobalMetrics().GetCounter("storage.read.bytes")->value())},
+      {"p50_seconds", JsonValue(seconds->Percentile(0.50))},
+      {"p95_seconds", JsonValue(seconds->Percentile(0.95))},
+      {"p99_seconds", JsonValue(seconds->Percentile(0.99))},
+      {"max_seconds", JsonValue(seconds->max())},
+  });
 }
 
 JsonValue StorageJson(const StorageMetrics& s) {
-  const double hit_rate =
-      s.prefetch_issued > 0
-          ? static_cast<double>(s.prefetch_hits) /
-                static_cast<double>(s.prefetch_issued)
-          : 0.0;
   return JsonValue(JsonValue::Object{
       {"bytes_mapped", JsonValue(s.bytes_mapped)},
       {"peak_bytes_mapped", JsonValue(s.peak_bytes_mapped)},
@@ -65,10 +49,6 @@ JsonValue StorageJson(const StorageMetrics& s) {
       {"unmap_calls", JsonValue(s.unmap_calls)},
       {"cache_hits", JsonValue(s.cache_hits)},
       {"cache_misses", JsonValue(s.cache_misses)},
-      {"prefetch_issued", JsonValue(s.prefetch_issued)},
-      {"prefetch_completed", JsonValue(s.prefetch_completed)},
-      {"prefetch_hits", JsonValue(s.prefetch_hits)},
-      {"prefetch_hit_rate", JsonValue(hit_rate)},
       {"evictions", JsonValue(s.evictions)},
       {"checksum_failures", JsonValue(s.checksum_failures)},
       {"pinned_bytes", JsonValue(s.pinned_bytes)},
@@ -79,7 +59,6 @@ JsonValue StorageJson(const StorageMetrics& s) {
       {"read_path",
        JsonValue(std::string(ShardReadPathName(
            static_cast<ShardReadPath>(s.read_path))))},
-      {"read_path_fallbacks", JsonValue(s.read_path_fallbacks)},
       {"read_latency", ReadLatencyJson()},
   });
 }

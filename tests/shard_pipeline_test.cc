@@ -262,14 +262,16 @@ TEST(ShardPipelineTest, PipelinedMaterializeMatchesPlainMaterialize) {
   const ShardGraphView plain_view(std::move(*plain_store));
   const ShardGraphView piped_view(std::move(*piped_store));
 
-  const Result<Graph> plain = MaterializeGraph(plain_view);
-  ASSERT_TRUE(plain.ok());
+  // Slots 0 loads every partition on demand, without a loader thread.
+  PipelineStats plain_stats;
+  const Result<Graph> plain =
+      MaterializeGraph(plain_view, {/*pipeline_slots=*/0, &plain_stats});
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain_stats.loads_ahead + plain_stats.loads_demand, 0);
 
-  MaterializeOptions options;
-  options.pipeline_slots = 2;
   PipelineStats stats;
-  options.stats = &stats;
-  const Result<Graph> piped = MaterializeGraph(piped_view, options);
+  const Result<Graph> piped =
+      MaterializeGraph(piped_view, {/*pipeline_slots=*/2, &stats});
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
 
   EXPECT_EQ(plain->num_nodes(), piped->num_nodes());

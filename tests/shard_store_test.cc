@@ -1,24 +1,20 @@
 // Out-of-core shard store: pack/open round trips, slice fidelity
-// against the source graph, LRU eviction under a memory budget, async
-// prefetch, and corruption (truncation, bit flips, torn writes)
-// surfacing as clean Status errors — exercised against the scripted
-// I/O fault injector.
+// against the source graph, LRU eviction under a memory budget, both
+// loads (pread and the fault injector's heap read), and corruption
+// (truncation, bit flips, torn writes) surfacing as clean Status
+// errors — exercised against the scripted I/O fault injector.
 #include "src/storage/shard_store.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
-#include "src/storage/shard_reader.h"
 #include "src/storage/shard_writer.h"
 
 namespace inferturbo {
@@ -328,58 +324,37 @@ TEST(ShardStoreTest, PinnedBudgetAboveMemoryBudgetIsRejected) {
       ShardStore::Open(std::move(options)).status().IsInvalidArgument());
 }
 
-TEST(ShardStoreTest, OutOfRangePrefetchIsANoOp) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pf_range");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-  ThreadPool pool(2);
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.prefetch_pool = &pool;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-  const ShardGraphView view(std::move(*store));
-
-  // The drivers blindly hint p+1 while sweeping; hints past either end
-  // must not issue anything — not even a queued no-op task.
-  view.PrefetchPartition(-1);
-  view.PrefetchPartition(view.num_partitions());
-  view.PrefetchPartition(view.num_partitions() + 7);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 0);
-
-  view.PrefetchPartition(view.num_partitions() - 1);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 1);
-}
-
-TEST(ShardStoreTest, ForcedReadPathsAreBitIdentical) {
+TEST(ShardStoreTest, BothLoadsRebuildBitIdenticalGraphs) {
   const Dataset d = MakeDataset(/*edge_features=*/true);
-  const std::string dir = FreshDir("shards_read_paths");
+  const std::string dir = FreshDir("shards_loads");
   ShardWriterOptions writer;
   writer.num_partitions = 5;
   ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
 
-  for (const ShardReadPath path :
-       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kDirect,
-        ShardReadPath::kUring, ShardReadPath::kAuto}) {
-    SCOPED_TRACE(ShardReadPathName(path));
+  // An injector with no rules armed passes every byte through unchanged.
+  ScriptedIoFaultInjector injector;
+  for (IoFaultInjector* const fault_injector :
+       {static_cast<IoFaultInjector*>(nullptr),
+        static_cast<IoFaultInjector*>(&injector)}) {
     ShardStoreOptions options;
     options.directory = dir;
-    options.read_path = path;
+    options.fault_injector = fault_injector;
     Result<ShardStore> store = ShardStore::Open(std::move(options));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // kAuto resolves to a concrete tier at Open.
-    EXPECT_NE(store->read_path(), ShardReadPath::kAuto);
-    if (path != ShardReadPath::kAuto) {
-      EXPECT_EQ(store->read_path(), path);
-    }
+    const ShardReadPath expected = fault_injector == nullptr
+                                       ? ShardReadPath::kPread
+                                       : ShardReadPath::kInjector;
+    SCOPED_TRACE(ShardReadPathName(expected));
+    EXPECT_EQ(store->read_path(), expected);
     const ShardGraphView view(std::move(*store));
     const Result<Graph> rebuilt = MaterializeGraph(view);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
     EXPECT_TRUE(BitIdentical(d.graph, *rebuilt));
-    EXPECT_EQ(view.storage_metrics().checksum_failures, 0);
+    const StorageMetrics metrics = view.storage_metrics();
+    EXPECT_EQ(metrics.checksum_failures, 0);
+    EXPECT_EQ(metrics.read_path, static_cast<std::int64_t>(expected));
   }
+  EXPECT_EQ(injector.faults_fired(), 0);
 }
 
 TEST(ShardStoreTest, SecondMapIsACacheHit) {
@@ -396,35 +371,6 @@ TEST(ShardStoreTest, SecondMapIsACacheHit) {
   EXPECT_EQ(metrics.cache_misses, 1);
   EXPECT_EQ(metrics.cache_hits, 1);
   EXPECT_EQ(metrics.map_calls, 1);
-}
-
-TEST(ShardStoreTest, PrefetchMakesTheNextMapAHit) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_prefetch");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-
-  ThreadPool pool(2);
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.prefetch_pool = &pool;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-
-  store->Prefetch(2);
-  // Wait for the async load to land before demanding the shard.
-  for (int i = 0; i < 2000 && store->metrics().prefetch_completed == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(store->metrics().prefetch_completed, 1);
-  ASSERT_TRUE(store->Map(2).ok());
-  const StorageMetrics metrics = store->metrics();
-  EXPECT_EQ(metrics.prefetch_issued, 1);
-  EXPECT_EQ(metrics.prefetch_hits, 1);
-  EXPECT_EQ(metrics.cache_hits, 1);
-  EXPECT_EQ(metrics.cache_misses, 0);
 }
 
 TEST(ShardStoreTest, MapOutOfRangeIsInvalidArgument) {

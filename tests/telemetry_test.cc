@@ -112,9 +112,10 @@ TEST_F(TelemetryTest, HistogramPercentileInterpolation) {
   Histogram* h = GlobalMetrics().GetHistogram("test.pct", options);
   // 100 observations uniformly inside bucket 0 (0, 1].
   for (int i = 0; i < 100; ++i) h->Observe(0.5);
-  // p50 interpolates to the middle of bucket 0's (0, 1] range.
+  // p50 interpolates to the middle of bucket 0's (0, 1] range; p100
+  // would reach the bucket's upper edge but stops at the observed max.
   EXPECT_DOUBLE_EQ(h->Percentile(0.50), 0.5);
-  EXPECT_DOUBLE_EQ(h->Percentile(1.00), 1.0);
+  EXPECT_DOUBLE_EQ(h->Percentile(1.00), 0.5);
   EXPECT_DOUBLE_EQ(h->Percentile(0.0), 0.0);
 
   // Push 100 more into bucket 2 (2, 4]: now p75 lands inside bucket 2.
@@ -123,6 +124,27 @@ TEST_F(TelemetryTest, HistogramPercentileInterpolation) {
   // so p75 = 2 + (4 - 2) * 50/100 = 3.
   EXPECT_DOUBLE_EQ(h->Percentile(0.75), 3.0);
   EXPECT_EQ(h->count(), 200);
+}
+
+TEST_F(TelemetryTest, HistogramPercentileNeverExceedsObservedMax) {
+  SetMetricsEnabled(true);
+  HistogramOptions options;
+  options.first_bucket = 1.0;
+  options.growth = 2.0;
+  options.num_buckets = 8;
+  Histogram* h = GlobalMetrics().GetHistogram("test.wide_bucket", options);
+  // Three samples far below the upper edge of the wide (0, 1] bucket:
+  // plain interpolation would put p50 near 0.5 and p99 near 1.0.
+  h->Observe(0.0300);
+  h->Observe(0.0350);
+  h->Observe(0.0387);
+  for (const double q : {0.50, 0.95, 0.99, 1.00}) {
+    SCOPED_TRACE(q);
+    EXPECT_LE(h->Percentile(q), h->max());
+    EXPECT_LE(h->Snapshot().Percentile(q), h->max());
+    EXPECT_DOUBLE_EQ(h->Percentile(q), h->Snapshot().Percentile(q));
+  }
+  EXPECT_DOUBLE_EQ(h->Percentile(0.99), 0.0387);
 }
 
 TEST_F(TelemetryTest, HistogramOverflowPercentileUsesObservedMax) {
@@ -344,8 +366,7 @@ TEST_F(TelemetryTest, RunReportUnifiesJobStorageMetricsAndConfig) {
   step.bytes_in = 100;
   metrics.workers[0].steps.push_back(step);
   metrics.workers[1].steps.push_back(step);
-  metrics.storage.prefetch_issued = 4;
-  metrics.storage.prefetch_hits = 3;
+  metrics.storage.cache_hits = 3;
   metrics.storage.peak_bytes_mapped = 4096;
   RunReportOptions options;
   options.backend = "pregel";
@@ -365,7 +386,7 @@ TEST_F(TelemetryTest, RunReportUnifiesJobStorageMetricsAndConfig) {
   const JsonValue* storage = parsed->Find("storage");
   ASSERT_NE(storage, nullptr);
   EXPECT_EQ(storage->Find("peak_bytes_mapped")->as_int(), 4096);
-  EXPECT_DOUBLE_EQ(storage->Find("prefetch_hit_rate")->as_double(), 0.75);
+  EXPECT_EQ(storage->Find("cache_hits")->as_int(), 3);
   EXPECT_EQ(parsed->Find("metrics")
                 ->Find("counters")
                 ->Find("report.counter")
