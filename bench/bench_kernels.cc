@@ -8,8 +8,6 @@
 //   bench_kernels                      full sweep, writes BENCH_kernels.json
 //   bench_kernels --quick              CI smoke: smaller shapes, shorter timing
 //   bench_kernels --out=PATH           write the JSON elsewhere
-//   bench_kernels --check=PATH         diff against a baseline JSON; exits 1
-//                                      when any op regresses past --check-tolerance
 //   bench_kernels --threads=LIST       comma-separated thread sweep
 //                                      (default "1,2,8" — fixed so baselines
 //                                      compare like against like)
@@ -383,84 +381,6 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal field extraction for the exact format WriteJson emits (one
-// record per line) — enough for --check without a JSON dependency.
-struct BaselineRecord {
-  std::string op, shape;
-  int threads = 0;
-  double gflops = 0.0;
-  double seconds_per_iter = 0.0;
-};
-
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-std::vector<BaselineRecord> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_kernels: cannot read baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::vector<BaselineRecord> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"op\"") == std::string::npos) continue;
-    BaselineRecord record;
-    record.op = ExtractString(line, "op");
-    record.shape = ExtractString(line, "shape");
-    record.threads = static_cast<int>(ExtractNumber(line, "threads"));
-    record.gflops = ExtractNumber(line, "gflops");
-    record.seconds_per_iter = ExtractNumber(line, "seconds_per_iter");
-    baseline.push_back(record);
-  }
-  return baseline;
-}
-
-// Compares against a baseline run; a kernel counts as regressed when
-// its time per iteration grew past (1 + tolerance) on a matching
-// (op, shape, threads) row. Shapes present on only one side are
-// skipped (quick vs full runs share only some rows).
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         const std::string& path, double tolerance) {
-  const std::vector<BaselineRecord> baseline = LoadBaseline(path);
-  int regressions = 0, compared = 0;
-  for (const BenchRecord& r : records) {
-    for (const BaselineRecord& b : baseline) {
-      if (b.op != r.op || b.shape != r.shape || b.threads != r.threads) {
-        continue;
-      }
-      ++compared;
-      if (b.seconds_per_iter > 0.0 &&
-          r.seconds_per_iter > b.seconds_per_iter * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s threads=%d: %.3f ms/iter vs baseline "
-                    "%.3f ms/iter (tolerance %.0f%%)\n",
-                    r.op.c_str(), r.shape.c_str(), r.threads,
-                    r.seconds_per_iter * 1e3, b.seconds_per_iter * 1e3,
-                    tolerance * 100.0);
-      }
-      break;
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 // The multithreading-is-a-win gate: for every (op, shape) with both a
 // 1-thread row and multi-thread rows, the BEST multi-thread time must
 // not be worse than the 1-thread time by more than `tolerance`. On a
@@ -519,8 +439,6 @@ int Main(int argc, char** argv) {
   }
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_kernels.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
   const bool scaling_gate = flags->GetBool("scaling-gate", false);
   const double scaling_tolerance = flags->GetDouble("scaling-tolerance", 0.15);
   const bool fast_math = flags->GetBool("fast_math", true);
@@ -554,9 +472,6 @@ int Main(int argc, char** argv) {
 
   int rc = 0;
   if (scaling_gate) rc |= CheckScaling(harness.records, scaling_tolerance);
-  if (!check_path.empty()) {
-    rc |= CheckAgainstBaseline(harness.records, check_path, tolerance);
-  }
   return rc;
 }
 

@@ -11,22 +11,4 @@ Status BinaryReader::GetString(std::string* out) {
   return Status::OK();
 }
 
-Status BinaryReader::GetFloats(std::vector<float>* out) {
-  std::uint64_t count = 0;
-  INFERTURBO_RETURN_NOT_OK(GetU64(&count));
-  INFERTURBO_RETURN_NOT_OK(CheckCount(count, sizeof(float)));
-  out->resize(static_cast<std::size_t>(count));
-  return GetBytes(out->data(), static_cast<std::size_t>(count) *
-                                   sizeof(float));
-}
-
-Status BinaryReader::GetI64s(std::vector<std::int64_t>* out) {
-  std::uint64_t count = 0;
-  INFERTURBO_RETURN_NOT_OK(GetU64(&count));
-  INFERTURBO_RETURN_NOT_OK(CheckCount(count, sizeof(std::int64_t)));
-  out->resize(static_cast<std::size_t>(count));
-  return GetBytes(out->data(), static_cast<std::size_t>(count) *
-                                   sizeof(std::int64_t));
-}
-
 }  // namespace inferturbo

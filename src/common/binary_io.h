@@ -36,14 +36,15 @@ class BinaryWriter {
     PutU64(s.size());
     PutBytes(s.data(), s.size());
   }
-  void PutFloats(const std::vector<float>& v) {
+  /// Length-prefixed array of trivially copyable elements, one bulk
+  /// copy.
+  template <typename T>
+  void PutArray(const std::vector<T>& v) {
     PutU64(v.size());
-    PutBytes(v.data(), v.size() * sizeof(float));
+    PutBytes(v.data(), v.size() * sizeof(T));
   }
-  void PutI64s(const std::vector<std::int64_t>& v) {
-    PutU64(v.size());
-    PutBytes(v.data(), v.size() * sizeof(std::int64_t));
-  }
+  void PutFloats(const std::vector<float>& v) { PutArray(v); }
+  void PutI64s(const std::vector<std::int64_t>& v) { PutArray(v); }
 
   std::size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
@@ -84,8 +85,18 @@ class BinaryReader {
   Status GetFloat(float* out) { return GetScalar(out); }
 
   Status GetString(std::string* out);
-  Status GetFloats(std::vector<float>* out);
-  Status GetI64s(std::vector<std::int64_t>* out);
+  /// Inverse of BinaryWriter::PutArray; the length prefix is checked
+  /// against the remaining bytes before anything is allocated.
+  template <typename T>
+  Status GetArray(std::vector<T>* out) {
+    std::uint64_t count = 0;
+    INFERTURBO_RETURN_NOT_OK(GetU64(&count));
+    INFERTURBO_RETURN_NOT_OK(CheckCount(count, sizeof(T)));
+    out->resize(static_cast<std::size_t>(count));
+    return GetBytes(out->data(), static_cast<std::size_t>(count) * sizeof(T));
+  }
+  Status GetFloats(std::vector<float>* out) { return GetArray(out); }
+  Status GetI64s(std::vector<std::int64_t>* out) { return GetArray(out); }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return remaining() == 0; }

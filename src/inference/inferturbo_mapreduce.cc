@@ -1,9 +1,11 @@
 #include "src/inference/inferturbo_mapreduce.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -213,15 +215,16 @@ class MrInferenceDriver {
       if (use_partial) {
         const AggKind kind = sig.agg_kind;
         const std::int64_t msg_dim = sig.message_dim;
-        combiner = [kind, msg_dim](std::int64_t key,
-                                   std::vector<MrValue>* values) {
-          CombineInMessages(kind, msg_dim, key, values);
+        combiner = [kind, msg_dim](const MrBlock& block,
+                                   std::span<const std::uint32_t> run,
+                                   MrEmitter* out) {
+          CombineInMessages(kind, msg_dim, block, run, out);
         };
       }
       INFERTURBO_RETURN_NOT_OK(job.RunReduce(
-          [this, l](std::int64_t key, std::span<MrValue> values,
-                    MrEmitter* emitter) { ReduceStage(l, key, values,
-                                                      emitter); },
+          [this, l](const MrKeyGroups& input, MrEmitter* emitter) {
+            ReduceLayer(l, input, emitter);
+          },
           combiner ? &combiner : nullptr));
       FlushBroadcastStaging(&job);
       INFERTURBO_RETURN_NOT_OK(save_checkpoint(stage));
@@ -234,14 +237,15 @@ class MrInferenceDriver {
       embeddings_ = Tensor(num_nodes, model_.embedding_dim());
     }
     std::vector<bool> seen(static_cast<std::size_t>(num_nodes), false);
-    for (MrKeyValue& kv : job.TakeOutputs()) {
-      if (kv.second.tag == kEmbedding) {
-        embeddings_.SetRow(kv.first, kv.second.floats.data());
+    const MrBlock outputs = job.TakeOutputs();
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      const NodeId v = outputs.keys[i];
+      if (outputs.tags[i] == kEmbedding) {
+        embeddings_.SetRow(v, outputs.Floats(i).data());
         continue;
       }
-      if (kv.second.tag != kPrediction) continue;
-      const NodeId v = kv.first;
-      logits.SetRow(v, kv.second.floats.data());
+      if (outputs.tags[i] != kPrediction) continue;
+      logits.SetRow(v, outputs.Floats(i).data());
       seen[static_cast<std::size_t>(v)] = true;
     }
     for (NodeId v = 0; v < num_nodes; ++v) {
@@ -263,50 +267,55 @@ class MrInferenceDriver {
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
  private:
-  /// Map-side combine: fold this producer's kInMessage rows for `key`
-  /// into a single kPartialAgg record; other tags pass through.
+  /// Out-adjacency of one node as shipped on the dataflow: its
+  /// out-neighbours, and their edge-feature rows when a layer needs them.
+  struct OutEdges {
+    std::span<const std::int64_t> dst;
+    std::span<const float> feats;
+  };
+
+  /// Map-side combine of one key's run: this producer's foldable rows
+  /// (kInMessage of message width, kPartialAgg) fold into one
+  /// kPartialAgg record, written in place at the end of the output; the
+  /// other records pass through first, in run order.
   static void CombineInMessages(AggKind kind, std::int64_t msg_dim,
-                                std::int64_t key,
-                                std::vector<MrValue>* values) {
-    (void)key;
+                                const MrBlock& block,
+                                std::span<const std::uint32_t> run,
+                                MrEmitter* out) {
     INFERTURBO_CHECK(kind != AggKind::kUnion) << "union is not combinable";
-    // Dispatched SIMD row fold instead of a scalar loop per value: the
-    // max/min selects match std::max/std::min exactly (see row_fold.h),
-    // so the combine stays bit-identical to the old scalar switch.
+    // Dispatched SIMD row fold: the max/min selects match
+    // std::max/std::min exactly (see row_fold.h).
     const kernels::detail::RowFoldFn fold =
         kind == AggKind::kMax   ? kernels::detail::RowMax()
         : kind == AggKind::kMin ? kernels::detail::RowMin()
                                 : kernels::detail::RowAdd();
-    std::vector<MrValue> kept;
-    std::vector<float> acc;
-    std::int64_t count = 0;
-    for (MrValue& v : *values) {
-      const bool foldable =
-          (v.tag == kInMessage &&
-           static_cast<std::int64_t>(v.floats.size()) == msg_dim) ||
-          v.tag == kPartialAgg;
-      if (!foldable) {
-        kept.push_back(std::move(v));
+    const auto foldable = [&](std::uint32_t i) {
+      return (block.tags[i] == kInMessage &&
+              static_cast<std::int64_t>(block.Floats(i).size()) == msg_dim) ||
+             block.tags[i] == kPartialAgg;
+    };
+    for (const std::uint32_t i : run) {
+      if (!foldable(i)) out->block().AppendRecord(block, i);
+    }
+    // The first foldable row is emitted as the partial; later rows fold
+    // into its floats and count (nothing else is appended meanwhile).
+    MrBlock& partial = out->block();
+    float* acc = nullptr;
+    std::int64_t width = 0;
+    for (const std::uint32_t i : run) {
+      if (!foldable(i)) continue;
+      const std::int64_t count =
+          block.tags[i] == kPartialAgg ? block.Ids(i)[0] : 1;
+      if (acc == nullptr) {
+        out->Emit(block.keys[i], kPartialAgg, /*src=*/-1, block.Floats(i),
+                  std::span<const std::int64_t>(&count, 1));
+        width = static_cast<std::int64_t>(block.Floats(i).size());
+        acc = partial.floats.data() + partial.floats.size() - width;
         continue;
       }
-      const std::int64_t v_count = v.tag == kPartialAgg ? v.ids[0] : 1;
-      if (acc.empty()) {
-        acc = std::move(v.floats);
-        count = v_count;
-        continue;
-      }
-      fold(acc.data(), v.floats.data(),
-           static_cast<std::int64_t>(acc.size()));
-      count += v_count;
+      fold(acc, block.Floats(i).data(), width);
+      partial.ids.back() += count;
     }
-    if (!acc.empty()) {
-      MrValue partial;
-      partial.tag = kPartialAgg;
-      partial.floats = std::move(acc);
-      partial.ids = {count};
-      kept.push_back(std::move(partial));
-    }
-    *values = std::move(kept);
   }
 
   /// The initialization stage: map instance p streams partition p of
@@ -325,37 +334,42 @@ class MrInferenceDriver {
     const PartitionSlice& slice = *acquired;
     const std::size_t n = slice.nodes.size();
     if (n == 0) return;
-    const std::size_t fd =
-        static_cast<std::size_t>(view_.feature_dim());
+    const std::size_t fd = static_cast<std::size_t>(view_.feature_dim());
     const std::size_t efd =
-        static_cast<std::size_t>(view_.edge_feature_dim());
-    Tensor states(static_cast<std::int64_t>(n),
-                  static_cast<std::int64_t>(fd));
+        ships_edge_features_ ? static_cast<std::size_t>(view_.edge_feature_dim())
+                             : 0;
+    Tensor states(static_cast<std::int64_t>(n), static_cast<std::int64_t>(fd));
+    std::memcpy(states.data(), slice.node_features, n * fd * sizeof(float));
+    std::vector<OutEdges> adjacency(n);
     for (std::size_t i = 0; i < n; ++i) {
-      states.SetRow(static_cast<std::int64_t>(i),
-                    slice.node_features + i * fd);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId v = slice.nodes[i];
-      MrValue self;
-      self.tag = kSelfState;
-      self.floats = states.RowVector(static_cast<std::int64_t>(i));
-      emitter->Emit(v, std::move(self));
-
-      MrValue out_edges;
-      out_edges.tag = kOutEdges;
-      for (std::int64_t k = slice.out_offsets[i];
-           k < slice.out_offsets[i + 1]; ++k) {
-        out_edges.ids.push_back(slice.out_dst[static_cast<std::size_t>(k)]);
-        if (ships_edge_features_) {
-          const float* feat =
-              slice.edge_features + static_cast<std::size_t>(k) * efd;
-          out_edges.floats.insert(out_edges.floats.end(), feat, feat + efd);
-        }
+      const auto begin = static_cast<std::size_t>(slice.out_offsets[i]);
+      const auto degree =
+          static_cast<std::size_t>(slice.out_offsets[i + 1]) - begin;
+      adjacency[i].dst = slice.out_dst.subspan(begin, degree);
+      if (efd > 0) {
+        adjacency[i].feats = {slice.edge_features + begin * efd,
+                              degree * efd};
       }
-      emitter->Emit(v, std::move(out_edges));
     }
-    ScatterMessages(/*layer_index=*/0, slice, states, emitter);
+    const Tensor messages = model_.layer(0).ComputeMessage(states);
+    const std::size_t edges = slice.out_dst.size();
+    emitter->block().Reserve(
+        2 * n + edges,
+        n * fd + edges * (efd + static_cast<std::size_t>(messages.cols())),
+        2 * edges);
+    for (std::size_t i = 0; i < n; ++i) {
+      emitter->Emit(slice.nodes[i], kSelfState, /*src=*/-1,
+                    {states.RowPtr(static_cast<std::int64_t>(i)), fd});
+      emitter->Emit(slice.nodes[i], kOutEdges, /*src=*/-1, adjacency[i].feats,
+                    adjacency[i].dst);
+    }
+    const Tensor edge_rows = EdgeMessages(model_.layer(0), messages, adjacency);
+    std::int64_t edge_cursor = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EmitNodeMessages(model_.layer(0).signature(), slice.nodes[i],
+                       RowSpan(messages, static_cast<std::int64_t>(i)),
+                       adjacency[i], edge_rows, &edge_cursor, emitter);
+    }
   }
 
   void RecordMapError(const Status& status) {
@@ -363,212 +377,208 @@ class MrInferenceDriver {
     if (map_error_.ok()) map_error_ = status;
   }
 
-  /// One GNN layer for one key. `values` hold the node's previous
-  /// state, its out-edges, and its gathered in-messages.
-  void ReduceStage(std::int64_t layer_index, std::int64_t key,
-                   std::span<MrValue> values, MrEmitter* emitter) {
+  static std::span<const float> RowSpan(const Tensor& t, std::int64_t row) {
+    return {t.RowPtr(row), static_cast<std::size_t>(t.cols())};
+  }
+
+  /// One GNN layer over every key group of one reducer, as a batch:
+  /// group g's messages fold into segment g of one BucketedInbox, then
+  /// one ApplyNode and one ComputeMessage (or PredictLogits) call run
+  /// over all groups. Each group emits self state, out-edges, then its
+  /// messages, so the next round's arrival order — and with it every
+  /// fold order — does not depend on how many groups share a batch.
+  void ReduceLayer(std::int64_t layer_index, const MrKeyGroups& input,
+                   MrEmitter* emitter) {
+    const std::size_t groups = input.num_groups();
+    if (groups == 0) return;
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
     const AggKind kind = sig.agg_kind;
     const std::int64_t msg_dim = sig.message_dim;
+    const MrBlock& records = input.records;
+    const auto is_message = [](std::int32_t tag) {
+      return tag == kInMessage || tag == kRef || tag == kPartialAgg;
+    };
 
-    Tensor state;
-    std::vector<std::int64_t> out_neighbors;
-    std::vector<float> out_edge_feats;
-
-    // First pass: locate state/out-edges, count message rows.
+    // First pass: locate each group's state and out-edges, count rows.
+    std::vector<std::int64_t> state_record(groups, -1);
+    std::vector<std::int64_t> edges_record(groups, -1);
     std::int64_t msg_rows = 0;
     bool any_partial = false;
-    for (const MrValue& v : values) {
-      if (v.tag == kInMessage || v.tag == kRef || v.tag == kPartialAgg) {
-        ++msg_rows;
-        any_partial = any_partial || v.tag == kPartialAgg;
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::size_t i = input.group_offsets[g];
+           i < input.group_offsets[g + 1]; ++i) {
+        const std::int32_t tag = records.tags[i];
+        INFERTURBO_CHECK(tag != kPrediction && tag != kEmbedding)
+            << "output record in a reduce round";
+        if (tag == kSelfState) state_record[g] = static_cast<std::int64_t>(i);
+        if (tag == kOutEdges) edges_record[g] = static_cast<std::int64_t>(i);
+        if (is_message(tag)) ++msg_rows;
+        any_partial = any_partial || tag == kPartialAgg;
       }
+      INFERTURBO_CHECK(state_record[g] >= 0)
+          << "node " << input.key(g) << " lost its self-state record";
     }
     INFERTURBO_CHECK(kind != AggKind::kUnion || !any_partial)
         << "union layer received a partial aggregate";
 
-    // Flatten this key group into the shared bucketed form (all rows in
-    // segment 0) in MrValue ARRIVAL order — the fold order both
-    // backends' bit-identity contract pins — then reduce through the
-    // same kernel path the Pregel gather uses.
+    const std::size_t state_dim =
+        records.Floats(static_cast<std::size_t>(state_record[0])).size();
+    Tensor states(static_cast<std::int64_t>(groups),
+                  static_cast<std::int64_t>(state_dim));
+    // Group g's message rows go to segment g in ARRIVAL order — the fold
+    // order both backends' bit-identity contract pins.
     BucketedInbox inbox;
     inbox.rows = Tensor(msg_rows, msg_dim);
-    inbox.dst.assign(static_cast<std::size_t>(msg_rows), 0);
-    if (any_partial) {
-      inbox.counts.assign(static_cast<std::size_t>(msg_rows), 1);
-    }
-    std::int64_t row_cursor = 0;
-    for (MrValue& v : values) {
-      switch (v.tag) {
-        case kSelfState: {
-          state = Tensor(1, static_cast<std::int64_t>(v.floats.size()));
-          state.SetRow(0, v.floats.data());
-          break;
-        }
-        case kOutEdges:
-          out_neighbors = std::move(v.ids);
-          out_edge_feats = std::move(v.floats);
-          break;
-        case kInMessage:
-        case kRef:
-        case kPartialAgg: {
-          const float* row = nullptr;
-          if (v.tag == kRef) {
-            const std::vector<float>* value = LookupBroadcast(v.src);
-            INFERTURBO_CHECK(value != nullptr)
-                << "missing broadcast value for hub " << v.src;
-            row = value->data();
-          } else {
-            row = v.floats.data();
-            if (v.tag == kPartialAgg) {
-              inbox.counts[static_cast<std::size_t>(row_cursor)] = v.ids[0];
-            }
+    inbox.dst.resize(static_cast<std::size_t>(msg_rows));
+    if (any_partial) inbox.counts.assign(static_cast<std::size_t>(msg_rows), 1);
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(msg_dim) * sizeof(float);
+    std::int64_t row = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::span<const float> state =
+          records.Floats(static_cast<std::size_t>(state_record[g]));
+      INFERTURBO_CHECK(state.size() == state_dim) << "ragged self states";
+      std::memcpy(states.RowPtr(static_cast<std::int64_t>(g)), state.data(),
+                  state_dim * sizeof(float));
+      for (std::size_t i = input.group_offsets[g];
+           i < input.group_offsets[g + 1]; ++i) {
+        const std::int32_t tag = records.tags[i];
+        if (!is_message(tag)) continue;
+        const float* payload = nullptr;
+        if (tag == kRef) {
+          const std::vector<float>* value = LookupBroadcast(records.src[i]);
+          INFERTURBO_CHECK(value != nullptr)
+              << "missing broadcast value for hub " << records.src[i];
+          payload = value->data();
+        } else {
+          INFERTURBO_CHECK(
+              static_cast<std::int64_t>(records.Floats(i).size()) == msg_dim)
+              << "message width " << records.Floats(i).size() << " vs "
+              << msg_dim;
+          payload = records.Floats(i).data();
+          if (tag == kPartialAgg) {
+            inbox.counts[static_cast<std::size_t>(row)] = records.Ids(i)[0];
           }
-          inbox.rows.SetRow(row_cursor, row);
-          ++row_cursor;
-          break;
         }
-        case kPrediction:
-          INFERTURBO_CHECK(false) << "prediction record in a reduce round";
+        std::memcpy(inbox.rows.RowPtr(row), payload, row_bytes);
+        inbox.dst[static_cast<std::size_t>(row)] =
+            static_cast<std::int64_t>(g);
+        ++row;
       }
     }
-    INFERTURBO_CHECK(!state.empty())
-        << "node " << key << " lost its self-state record";
 
-    const GatherResult gathered =
-        ReduceBucketedInbox(kind, std::move(inbox), /*num_nodes=*/1);
-
-    const Tensor new_state = layer.ApplyNode(state, gathered);
+    const GatherResult gathered = ReduceBucketedInbox(
+        kind, std::move(inbox), static_cast<std::int64_t>(groups));
+    const Tensor new_state = layer.ApplyNode(states, gathered);
 
     if (layer_index + 1 == model_.num_layers()) {
       const Tensor logits = model_.PredictLogits(new_state);
-      MrValue prediction;
-      prediction.tag = kPrediction;
-      prediction.floats = logits.RowVector(0);
-      emitter->Emit(key, std::move(prediction));
-      if (options_.export_embeddings) {
-        MrValue embedding;
-        embedding.tag = kEmbedding;
-        embedding.floats = new_state.RowVector(0);
-        emitter->Emit(key, std::move(embedding));
+      const bool embed = options_.export_embeddings;
+      emitter->block().Reserve(
+          groups * (embed ? 2 : 1),
+          groups * static_cast<std::size_t>(
+                       logits.cols() + (embed ? new_state.cols() : 0)),
+          0);
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto r = static_cast<std::int64_t>(g);
+        emitter->Emit(input.key(g), kPrediction, /*src=*/-1,
+                      RowSpan(logits, r));
+        if (embed) {
+          emitter->Emit(input.key(g), kEmbedding, /*src=*/-1,
+                        RowSpan(new_state, r));
+        }
       }
       return;
     }
 
     // Re-emit persistent records and the next layer's messages.
-    MrValue self;
-    self.tag = kSelfState;
-    self.floats = new_state.RowVector(0);
-    emitter->Emit(key, std::move(self));
-    MrValue out_edges;
-    out_edges.tag = kOutEdges;
-    out_edges.ids = out_neighbors;
-    out_edges.floats = out_edge_feats;
-    emitter->Emit(key, std::move(out_edges));
-
-    ScatterSingle(layer_index + 1, key, new_state, out_neighbors,
-                  out_edge_feats, emitter);
-  }
-
-  /// Scatter for a batch of nodes (Map stage): dense rows, or broadcast
-  /// refs for hubs. Map-side partial aggregation is the engine
-  /// combiner's job, so dense rows are emitted as-is here.
-  void ScatterMessages(std::int64_t layer_index, const PartitionSlice& slice,
-                       const Tensor& states, MrEmitter* emitter) {
-    const GasConv& layer = model_.layer(layer_index);
-    const Tensor messages = layer.ComputeMessage(states);
-    const std::size_t efd =
-        static_cast<std::size_t>(view_.edge_feature_dim());
-    for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
-      std::vector<NodeId> out_neighbors;
-      std::vector<float> out_edge_feats;
-      for (std::int64_t k = slice.out_offsets[i];
-           k < slice.out_offsets[i + 1]; ++k) {
-        out_neighbors.push_back(slice.out_dst[static_cast<std::size_t>(k)]);
-        if (ships_edge_features_) {
-          const float* feat =
-              slice.edge_features + static_cast<std::size_t>(k) * efd;
-          out_edge_feats.insert(out_edge_feats.end(), feat, feat + efd);
-        }
-      }
-      EmitNodeMessages(layer_index, slice.nodes[i],
-                       messages.RowVector(static_cast<std::int64_t>(i)),
-                       out_neighbors, out_edge_feats, emitter);
+    const GasConv& next = model_.layer(layer_index + 1);
+    const Tensor messages = next.ComputeMessage(new_state);
+    std::vector<OutEdges> adjacency(groups);
+    std::size_t edges = 0, edge_floats = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (edges_record[g] < 0) continue;
+      const auto e = static_cast<std::size_t>(edges_record[g]);
+      adjacency[g] = {records.Ids(e), records.Floats(e)};
+      edges += adjacency[g].dst.size();
+      edge_floats += adjacency[g].feats.size();
+    }
+    emitter->block().Reserve(
+        2 * groups + edges,
+        groups * static_cast<std::size_t>(new_state.cols()) + edge_floats +
+            edges * static_cast<std::size_t>(messages.cols() +
+                                             view_.edge_feature_dim()),
+        2 * edges);
+    const Tensor edge_rows = EdgeMessages(next, messages, adjacency);
+    std::int64_t edge_cursor = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const auto r = static_cast<std::int64_t>(g);
+      emitter->Emit(input.key(g), kSelfState, /*src=*/-1,
+                    RowSpan(new_state, r));
+      emitter->Emit(input.key(g), kOutEdges, /*src=*/-1, adjacency[g].feats,
+                    adjacency[g].dst);
+      EmitNodeMessages(next.signature(), input.key(g), RowSpan(messages, r),
+                       adjacency[g], edge_rows, &edge_cursor, emitter);
     }
   }
 
-  /// Scatter for one node (Reduce rounds).
-  void ScatterSingle(std::int64_t layer_index, NodeId v,
-                     const Tensor& new_state,
-                     const std::vector<std::int64_t>& out_neighbors,
-                     const std::vector<float>& out_edge_feats,
-                     MrEmitter* emitter) {
-    const GasConv& layer = model_.layer(layer_index);
-    const Tensor message = layer.ComputeMessage(new_state);
-    EmitNodeMessages(layer_index, v, message.RowVector(0), out_neighbors,
-                     out_edge_feats, emitter);
+  /// For a layer whose apply_edge consumes edge features: one batched
+  /// ApplyEdge over every out-edge of the batch, row k being the merged
+  /// message of the batch's k-th out-edge (node order, then edge order).
+  /// Empty for every other layer.
+  Tensor EdgeMessages(const GasConv& layer, const Tensor& messages,
+                      std::span<const OutEdges> adjacency) const {
+    if (!layer.signature().uses_edge_features) return Tensor();
+    const std::int64_t edge_dim = view_.edge_feature_dim();
+    std::int64_t edges = 0;
+    for (const OutEdges& out : adjacency) {
+      edges += static_cast<std::int64_t>(out.dst.size());
+    }
+    if (edges == 0) return Tensor();
+    Tensor base(edges, messages.cols());
+    Tensor feats(edges, edge_dim);
+    std::int64_t k = 0;
+    for (std::size_t i = 0; i < adjacency.size(); ++i) {
+      for (std::size_t e = 0; e < adjacency[i].dst.size(); ++e, ++k) {
+        base.SetRow(k, messages.RowPtr(static_cast<std::int64_t>(i)));
+        feats.SetRow(k, adjacency[i].feats.data() +
+                            static_cast<std::int64_t>(e) * edge_dim);
+      }
+    }
+    return layer.ApplyEdge(base, &feats);
   }
 
-  void EmitNodeMessages(std::int64_t layer_index, NodeId v,
-                        std::vector<float> row,
-                        const std::vector<std::int64_t>& out_neighbors,
-                        const std::vector<float>& out_edge_feats,
+  /// Sends node v's message `row` along its out-edges: the merged
+  /// per-edge rows of `edge_rows` (consumed from *edge_cursor) for
+  /// edge-featured layers, broadcast refs for hubs, dense rows
+  /// otherwise. Map-side partial aggregation is the engine combiner's
+  /// job, so dense rows are emitted as-is here.
+  void EmitNodeMessages(const LayerSignature& sig, NodeId v,
+                        std::span<const float> row, const OutEdges& out,
+                        const Tensor& edge_rows, std::int64_t* edge_cursor,
                         MrEmitter* emitter) {
-    const GasConv& layer = model_.layer(layer_index);
-    const LayerSignature& sig = layer.signature();
     if (sig.uses_edge_features) {
-      // apply_edge varies per out-edge: materialize the merged rows in
-      // one batched call, then emit each.
-      const std::int64_t degree =
-          static_cast<std::int64_t>(out_neighbors.size());
-      if (degree == 0) return;
-      const std::int64_t edge_dim =
-          static_cast<std::int64_t>(out_edge_feats.size()) / degree;
-      Tensor base(degree, static_cast<std::int64_t>(row.size()));
-      Tensor feats(degree, edge_dim);
-      for (std::int64_t i = 0; i < degree; ++i) {
-        base.SetRow(i, row.data());
-        feats.SetRow(i, out_edge_feats.data() + i * edge_dim);
-      }
-      const Tensor merged = layer.ApplyEdge(base, &feats);
-      for (std::int64_t i = 0; i < degree; ++i) {
-        MrValue msg;
-        msg.tag = kInMessage;
-        msg.src = v;
-        msg.floats = merged.RowVector(i);
-        emitter->Emit(out_neighbors[static_cast<std::size_t>(i)],
-                      std::move(msg));
+      for (const NodeId d : out.dst) {
+        emitter->Emit(d, kInMessage, v, RowSpan(edge_rows, (*edge_cursor)++));
       }
       return;
     }
     const bool hub = options_.strategies.broadcast &&
                      sig.broadcastable_messages && hub_threshold_ > 0 &&
-                     static_cast<std::int64_t>(out_neighbors.size()) >
-                         hub_threshold_;
+                     static_cast<std::int64_t>(out.dst.size()) > hub_threshold_;
     if (hub) {
       {
         // Idempotent under supervised duplicate attempts: both write
         // the same deterministic bytes for v, so last-write-wins is
         // byte-identical to exactly-once.
         std::lock_guard<std::mutex> lock(broadcast_mutex_);
-        broadcast_staging_[v] = row;
+        broadcast_staging_[v].assign(row.begin(), row.end());
       }
-      for (NodeId d : out_neighbors) {
-        MrValue ref;
-        ref.tag = kRef;
-        ref.src = v;
-        emitter->Emit(d, std::move(ref));
-      }
+      for (const NodeId d : out.dst) emitter->Emit(d, kRef, v);
       return;
     }
-    for (NodeId d : out_neighbors) {
-      MrValue msg;
-      msg.tag = kInMessage;
-      msg.src = v;
-      msg.floats = row;
-      emitter->Emit(d, std::move(msg));
-    }
+    for (const NodeId d : out.dst) emitter->Emit(d, kInMessage, v, row);
   }
 
   const std::vector<float>* LookupBroadcast(NodeId key) const {

@@ -5,7 +5,7 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "src/common/byte_size.h"
@@ -18,41 +18,118 @@
 
 namespace inferturbo {
 
-/// A value in the simulated MapReduce dataflow: a tagged record wide
-/// enough for everything the InferTurbo-on-MR pipeline ships between
-/// rounds — self state, in-edge messages, out-edge adjacency, partial
-/// aggregates (paper §IV-C2). The engine treats it as opaque bytes.
-struct MrValue {
+/// One instance's share of the simulated MapReduce dataflow, stored
+/// column by column. Record i is (keys[i], tags[i], src[i], its float
+/// run, its id run) — a tagged record wide enough for everything the
+/// InferTurbo-on-MR pipeline ships between rounds: self state, in-edge
+/// messages, out-edge adjacency, partial aggregates (paper §IV-C2).
+/// Payloads live in two arenas addressed by offset arrays, so appending
+/// a record allocates nothing of its own once the block is reserved.
+/// The engine treats tags and payloads as opaque.
+struct MrBlock {
+  std::vector<std::int64_t> keys;
   /// Driver-defined discriminator (e.g. kSelfState / kInMessage /
   /// kOutEdges).
-  std::int32_t tag = 0;
+  std::vector<std::int32_t> tags;
   /// Auxiliary id (message source, mirror origin, ...).
-  NodeId src = -1;
+  std::vector<NodeId> src;
+  /// Record i's floats are floats[float_offsets[i], float_offsets[i+1]).
+  std::vector<std::int64_t> float_offsets{0};
   std::vector<float> floats;
+  /// Record i's ids are ids[id_offsets[i], id_offsets[i+1]).
+  std::vector<std::int64_t> id_offsets{0};
   std::vector<std::int64_t> ids;
 
-  /// Serialized size on the simulated shuffle path. Unlike the Pregel
-  /// backend, *all* shuffle traffic is charged (MapReduce spills
-  /// through external storage even for local destinations).
-  std::uint64_t WireBytes() const {
-    return kMessageHeaderBytes + sizeof(tag) + sizeof(src) +
-           floats.size() * sizeof(float) + ids.size() * sizeof(std::int64_t);
+  std::size_t size() const { return keys.size(); }
+  bool empty() const { return keys.empty(); }
+
+  std::span<const float> Floats(std::size_t i) const {
+    return {floats.data() + float_offsets[i],
+            static_cast<std::size_t>(float_offsets[i + 1] - float_offsets[i])};
   }
+  std::span<const std::int64_t> Ids(std::size_t i) const {
+    return {ids.data() + id_offsets[i],
+            static_cast<std::size_t>(id_offsets[i + 1] - id_offsets[i])};
+  }
+
+  void Append(std::int64_t key, std::int32_t tag, NodeId source,
+              std::span<const float> payload,
+              std::span<const std::int64_t> id_payload) {
+    keys.push_back(key);
+    tags.push_back(tag);
+    src.push_back(source);
+    floats.insert(floats.end(), payload.begin(), payload.end());
+    float_offsets.push_back(static_cast<std::int64_t>(floats.size()));
+    ids.insert(ids.end(), id_payload.begin(), id_payload.end());
+    id_offsets.push_back(static_cast<std::int64_t>(ids.size()));
+  }
+  /// Copies record i of `other` onto the end of this block.
+  void AppendRecord(const MrBlock& other, std::size_t i) {
+    Append(other.keys[i], other.tags[i], other.src[i], other.Floats(i),
+           other.Ids(i));
+  }
+  void Reserve(std::size_t records, std::size_t num_floats,
+               std::size_t num_ids);
+  /// Empties the block and returns its memory.
+  void Release();
+
+  /// Serialized size of record i on the simulated shuffle path. Unlike
+  /// the Pregel backend, *all* shuffle traffic is charged (MapReduce
+  /// spills through external storage even for local destinations).
+  std::uint64_t WireBytes(std::size_t i) const {
+    return kRecordOverheadBytes + Floats(i).size() * sizeof(float) +
+           Ids(i).size() * sizeof(std::int64_t);
+  }
+  /// Sum of WireBytes over every record, from the array sizes alone.
+  std::uint64_t TotalWireBytes() const {
+    return size() * kRecordOverheadBytes + floats.size() * sizeof(float) +
+           ids.size() * sizeof(std::int64_t);
+  }
+  /// Bytes the block's arrays hold in memory — a measurement of this
+  /// process, unlike the modelled wire bytes.
+  std::uint64_t ResidentBytes() const;
+
+  /// Fixed wire cost of a record: message header + tag + src.
+  static constexpr std::uint64_t kRecordOverheadBytes =
+      kMessageHeaderBytes + sizeof(std::int32_t) + sizeof(NodeId);
 };
 
-using MrKeyValue = std::pair<std::int64_t, MrValue>;
-
-/// Collects emissions from map/reduce functions.
+/// Collects emissions from map/reduce/combine functions into one block.
 class MrEmitter {
  public:
-  void Emit(std::int64_t key, MrValue value) {
-    buffer_.emplace_back(key, std::move(value));
+  void Emit(std::int64_t key, std::int32_t tag, NodeId src,
+            std::span<const float> floats = {},
+            std::span<const std::int64_t> ids = {}) {
+    block_.Append(key, tag, src, floats, ids);
   }
-  std::vector<MrKeyValue>& buffer() { return buffer_; }
+  MrBlock& block() { return block_; }
 
  private:
-  std::vector<MrKeyValue> buffer_;
+  MrBlock block_;
 };
+
+/// A reducer's whole input for one round: its records sorted by key,
+/// the values of one key in arrival order (producing instance, then
+/// emission order) — the determinism contract. Group g is records
+/// [group_offsets[g], group_offsets[g+1]); keys ascend across groups.
+struct MrKeyGroups {
+  MrBlock records;
+  std::vector<std::size_t> group_offsets{0};
+
+  std::size_t num_groups() const { return group_offsets.size() - 1; }
+  std::int64_t key(std::size_t g) const {
+    return records.keys[group_offsets[g]];
+  }
+};
+
+/// Spill-block codec, exposed for the corruption tests: magic, the
+/// block's arrays in bulk, trailing CRC32 over everything before it.
+/// Decode rejects a wrong magic (including the retired record-at-a-time
+/// format), any short or corrupt byte and any inconsistent offset array
+/// as IoError — never UB. `what` names the bytes in error messages.
+std::string EncodeSpillBlock(const MrBlock& block);
+Status DecodeSpillBlock(std::string_view bytes, const std::string& what,
+                        MrBlock* block);
 
 /// A simulated elastic MapReduce job: I logical instances each act as
 /// mapper and reducer; rounds alternate shuffle (sort by key, values
@@ -101,13 +178,14 @@ class MapReduceJob {
 
   /// Called once per instance; the driver reads its own input split.
   using MapFn = std::function<void(std::int64_t instance, MrEmitter*)>;
-  /// Called per key with all values for that key (producer order).
-  using ReduceFn =
-      std::function<void(std::int64_t key, std::span<MrValue> values,
-                         MrEmitter*)>;
-  /// In-place shrink of same-key values on the producing side.
+  /// Called once per reducer per round with all of its key groups.
+  using ReduceFn = std::function<void(const MrKeyGroups& input, MrEmitter*)>;
+  /// Producer-side combine of one key's run: `run` indexes that key's
+  /// records in `block`, in emission order; the replacement records are
+  /// emitted (under the same key) into `out`.
   using CombineFn =
-      std::function<void(std::int64_t key, std::vector<MrValue>* values)>;
+      std::function<void(const MrBlock& block,
+                         std::span<const std::uint32_t> run, MrEmitter* out)>;
 
   explicit MapReduceJob(Options options);
 
@@ -116,8 +194,8 @@ class MapReduceJob {
   /// exhausted map task's error instead of crashing.
   Status RunMap(const MapFn& map_fn);
 
-  /// One shuffle+reduce round over the current dataflow; emitted pairs
-  /// become the next round's dataflow. `combiner` may be null. Returns
+  /// One shuffle+reduce round over the current dataflow; emitted
+  /// records become the next round's dataflow. `combiner` may be null. Returns
   /// non-OK — never crashes — when a spill block cannot be written or
   /// read back intact after bounded retries (IoError), or when the
   /// failure injector never stops firing (Aborted). On error the
@@ -126,7 +204,7 @@ class MapReduceJob {
   Status RunReduce(const ReduceFn& reduce_fn, const CombineFn* combiner);
 
   /// Drains the final dataflow (concatenated in instance order).
-  std::vector<MrKeyValue> TakeOutputs();
+  MrBlock TakeOutputs();
 
   /// Reduce-task re-executions triggered by the failure injector.
   std::int64_t failures_recovered() const { return failures_recovered_; }
@@ -145,11 +223,13 @@ class MapReduceJob {
   static std::int64_t InstanceForKey(std::int64_t key,
                                      std::int64_t num_instances);
 
-  /// Bit-exact serialization of the resident dataflow (the key/value
-  /// pairs between rounds) for durable round checkpoints.
+  /// Bit-exact serialization of the resident dataflow (the records
+  /// between rounds) for durable round checkpoints: a format tag, the
+  /// instance count, then each instance's block arrays in bulk.
   std::string SerializeDataflow() const;
   /// Inverse of SerializeDataflow; every length is bounds-checked so
-  /// truncated or corrupted bytes surface as IoError, never UB.
+  /// truncated or corrupted bytes — and bytes of an older format —
+  /// surface as IoError, never UB.
   Status RestoreDataflow(std::string_view bytes);
 
  private:
@@ -166,8 +246,8 @@ class MapReduceJob {
                             const std::vector<int>& winning_attempt);
 
   Options options_;
-  /// dataflow_[i] = key/value pairs resident on instance i.
-  std::vector<std::vector<MrKeyValue>> dataflow_;
+  /// dataflow_[i] = the records resident on instance i.
+  std::vector<MrBlock> dataflow_;
   JobMetrics metrics_;
   std::int64_t failures_recovered_ = 0;
   std::uint64_t spill_bytes_written_ = 0;

@@ -67,6 +67,14 @@ std::uint64_t JobMetrics::PeakResidentBytes() const {
   return peak;
 }
 
+std::uint64_t JobMetrics::ModelKeyGroupBytes() const {
+  std::uint64_t peak = 0;
+  for (const WorkerMetrics& w : workers) {
+    peak = std::max(peak, w.Total().model_key_group_bytes);
+  }
+  return peak;
+}
+
 void JobMetrics::AppendStages(const JobMetrics& other) {
   spill_read_retries += other.spill_read_retries;
   spill_write_retries += other.spill_write_retries;

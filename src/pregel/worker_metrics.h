@@ -26,11 +26,15 @@ struct WorkerStepMetrics {
   std::uint64_t bytes_out = 0;
   std::int64_t records_in = 0;
   std::int64_t records_out = 0;
-  /// Peak bytes this worker had to hold in memory during the step —
-  /// the axis on which the two backends trade off: Pregel keeps node
-  /// state and the full inbox resident, MapReduce streams key groups
-  /// from (simulated) external storage.
+  /// Peak bytes this worker held in memory during the step, measured:
+  /// Pregel keeps node state and the full inbox resident; a MapReduce
+  /// reducer holds its whole shuffled input block while it reduces.
   std::uint64_t peak_resident_bytes = 0;
+  /// Modelled, not measured: the paper's MapReduce cost model streams
+  /// one key group at a time from external storage (§IV-C2), so its
+  /// resident footprint is the largest key group's wire bytes. Zero for
+  /// Pregel.
+  std::uint64_t model_key_group_bytes = 0;
 
   void Accumulate(const WorkerStepMetrics& other) {
     busy_seconds += other.busy_seconds;
@@ -42,6 +46,8 @@ struct WorkerStepMetrics {
     records_out += other.records_out;
     peak_resident_bytes =
         std::max(peak_resident_bytes, other.peak_resident_bytes);
+    model_key_group_bytes =
+        std::max(model_key_group_bytes, other.model_key_group_bytes);
   }
 };
 
@@ -221,6 +227,8 @@ struct JobMetrics {
   std::uint64_t TotalBytesOut() const;
   /// Highest per-worker resident footprint seen anywhere in the job.
   std::uint64_t PeakResidentBytes() const;
+  /// Largest modelled one-key-group footprint (MapReduce cost model).
+  std::uint64_t ModelKeyGroupBytes() const;
 
   /// Appends `other`'s steps to this job's workers (stage chaining for
   /// multi-round MapReduce jobs). Worker counts must match.

@@ -21,6 +21,7 @@ JsonValue WorkerTotalsJson(const WorkerStepMetrics& t) {
       {"records_in", JsonValue(t.records_in)},
       {"records_out", JsonValue(t.records_out)},
       {"peak_resident_bytes", JsonValue(t.peak_resident_bytes)},
+      {"model_key_group_bytes", JsonValue(t.model_key_group_bytes)},
   });
 }
 
@@ -114,6 +115,7 @@ JsonValue BuildRunReport(const JobMetrics& metrics,
       {"total_bytes_in", JsonValue(metrics.TotalBytesIn())},
       {"total_bytes_out", JsonValue(metrics.TotalBytesOut())},
       {"peak_resident_bytes", JsonValue(metrics.PeakResidentBytes())},
+      {"model_key_group_bytes", JsonValue(metrics.ModelKeyGroupBytes())},
       {"latency_variance", JsonValue(LatencyVariance(metrics))},
       {"spill_read_retries", JsonValue(metrics.spill_read_retries)},
       {"spill_write_retries", JsonValue(metrics.spill_write_retries)},

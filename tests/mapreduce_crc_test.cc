@@ -79,8 +79,8 @@ InferTurboOptions OptionsFor(const CrcCase& c) {
   return options;
 }
 
-// Recorded from the record-at-a-time data plane (one MrValue per
-// record, one reduce call per key); the columnar plane must match.
+// Recorded while the reducer still ran the layer once per key; every
+// later change to the MapReduce data plane must reproduce them.
 constexpr CrcCase kCases[] = {
     {"sage_mean_partial", "sage", true, false, 1, 0x165f9b1bu, 0xd5a33c16u},
     {"sage_mean_partial", "sage", true, false, 3, 0x9f07e345u, 0x247b64ffu},
