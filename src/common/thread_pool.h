@@ -11,15 +11,21 @@
 
 namespace inferturbo {
 
-/// A fixed-size work-queue thread pool.
+/// A fixed-size work-queue thread pool — the one scheduler in the
+/// process.
 ///
 /// Both distributed-engine simulations (Pregel workers, MapReduce
 /// mappers/reducers) schedule their logical instances onto this pool, so
 /// "1000 instances" can run on an N-core machine while per-instance cost
-/// is still accounted individually.
+/// is still accounted individually, and the tensor kernels fan their
+/// range chunks out on DefaultThreadPool().
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1).
+  /// Starts `num_threads` workers (at least 1). On Linux, when the pool
+  /// is no larger than the CPUs the process may run on (and there are
+  /// at least two), worker i is pinned to the i-th of those CPUs, so a
+  /// worker keeps its core and its cache across launches. Threads a
+  /// pinned worker starts inherit its one-CPU mask.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
@@ -40,7 +46,9 @@ class ThreadPool {
   std::size_t num_threads() const { return threads_.size(); }
 
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for all.
-  /// `fn` must be safe to invoke concurrently.
+  /// `fn` must be safe to invoke concurrently. Waits for this launch's
+  /// own tasks only: tasks other threads Submit meanwhile neither delay
+  /// nor starve it.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Runs `fn(begin, end)` over a fixed contiguous partition of [0, n)
@@ -48,20 +56,21 @@ class ThreadPool {
   /// the per-index dispatch of ParallelFor (an atomic fetch_add and an
   /// indirect call per element) is paid once per range instead.
   /// Boundaries depend only on (n, task count); each index belongs to
-  /// exactly one call.
+  /// exactly one call. Waits for this launch's own tasks only.
   void ParallelForRanges(
       std::size_t n, std::size_t max_tasks,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Nested ParallelFor/Wait from inside a pool task would deadlock
-  /// (the task itself counts as in-flight), so layered parallelism —
-  /// e.g. a tensor kernel invoked from a Pregel worker — checks this
-  /// and runs serially instead.
+  /// A pool task that launches on a pool and waits can deadlock (every
+  /// worker may be waiting on tasks queued behind it), so layered
+  /// parallelism — e.g. a tensor kernel invoked from a Pregel worker —
+  /// checks this and runs serially instead. It is the process's one
+  /// nested-parallelism rule.
   static bool InPoolWorker();
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(int cpu);
 
   std::vector<std::thread> threads_;
   std::deque<std::function<void()>> queue_;
@@ -72,7 +81,7 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// The process-wide default pool, sized to the hardware concurrency.
+/// The process-wide default pool: max(2, hardware concurrency) threads.
 ThreadPool& DefaultThreadPool();
 
 }  // namespace inferturbo

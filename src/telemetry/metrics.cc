@@ -42,6 +42,17 @@ void AtomicMaxDouble(std::atomic<std::uint64_t>* bits, double value) {
   }
 }
 
+void AtomicMinDouble(std::atomic<std::uint64_t>* bits, double value) {
+  std::uint64_t observed = bits->load(std::memory_order_relaxed);
+  while (std::bit_cast<double>(observed) > value) {
+    const std::uint64_t desired = std::bit_cast<std::uint64_t>(value);
+    if (bits->compare_exchange_weak(observed, desired,
+                                    std::memory_order_relaxed)) {
+      return;
+    }
+  }
+}
+
 /// Inclusive upper bound of bucket `i` on the grid (the last is +inf).
 double UpperBound(const HistogramOptions& options, int i) {
   if (i >= options.num_buckets - 1) {
@@ -66,7 +77,9 @@ HistogramSnapshot HistogramSnapshot::DeltaSince(
   }
   delta.count = count - earlier.count;
   delta.sum = sum - earlier.sum;
-  delta.max = max;  // a max cannot be un-observed; keep the later bound
+  // Extremes cannot be un-observed; keep the later cumulative bounds.
+  delta.min = min;
+  delta.max = max;
   return delta;
 }
 
@@ -93,8 +106,9 @@ double HistogramSnapshot::Percentile(double q) const {
       const double fraction = (rank - static_cast<double>(cumulative)) /
                               static_cast<double>(in_bucket);
       // A few samples in a wide bucket interpolate past what was
-      // recorded; no percentile may exceed the observed max.
-      return std::min(lower + (upper - lower) * fraction, max);
+      // recorded; no percentile may leave the observed [min, max].
+      const double estimate = lower + (upper - lower) * fraction;
+      return std::max(min, std::min(estimate, max));
     }
     cumulative += in_bucket;
   }
@@ -114,6 +128,7 @@ HistogramSnapshot Histogram::Snapshot() const {
   }
   snapshot.count = count();
   snapshot.sum = sum();
+  snapshot.min = min();
   snapshot.max = max();
   return snapshot;
 }
@@ -138,11 +153,17 @@ void Histogram::Observe(double value) {
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&sum_bits_, value);
+  AtomicMinDouble(&min_bits_, value);
   AtomicMaxDouble(&max_bits_, value);
 }
 
 double Histogram::sum() const {
   return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
+}
+
+double Histogram::min() const {
+  const std::uint64_t bits = min_bits_.load(std::memory_order_relaxed);
+  return bits == kEmptyMinBits ? 0.0 : std::bit_cast<double>(bits);
 }
 
 double Histogram::max() const {
@@ -204,6 +225,8 @@ void MetricRegistry::ResetValues() {
     }
     histogram->count_.store(0, std::memory_order_relaxed);
     histogram->sum_bits_.store(0, std::memory_order_relaxed);
+    histogram->min_bits_.store(Histogram::kEmptyMinBits,
+                               std::memory_order_relaxed);
     histogram->max_bits_.store(0, std::memory_order_relaxed);
   }
 }

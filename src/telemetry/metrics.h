@@ -92,23 +92,24 @@ struct HistogramSnapshot {
   std::vector<std::int64_t> buckets;
   std::int64_t count = 0;
   double sum = 0.0;
+  double min = 0.0;
   double max = 0.0;
 
   /// This snapshot minus an `earlier` one of the same histogram:
-  /// bucket-wise and count/sum difference. max cannot be un-observed,
-  /// so the delta keeps the later max (an upper bound for the
-  /// interval).
+  /// bucket-wise and count/sum difference. min and max cannot be
+  /// un-observed, so the delta keeps the later cumulative ones (a lower
+  /// and an upper bound for the interval).
   HistogramSnapshot DeltaSince(const HistogramSnapshot& earlier) const;
 
   /// Quantile estimate in [0, 1]: cumulative bucket walk with linear
-  /// interpolation inside the winning bucket, clamped to `max`.
+  /// interpolation inside the winning bucket, clamped to [min, max].
   /// Returns 0 when empty.
   double Percentile(double q) const;
   double BucketUpperBound(int i) const;
 };
 
 /// Fixed exponential-bucket histogram. Observe() touches only relaxed
-/// atomics (one bucket count, a CAS-folded sum, a CAS max), so
+/// atomics (one bucket count, a CAS-folded sum, a CAS min and max), so
 /// concurrent observers never serialize on a lock.
 class Histogram {
  public:
@@ -120,10 +121,12 @@ class Histogram {
 
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const;
+  /// Smallest observed value; 0 when empty.
+  double min() const;
   double max() const;
 
   /// Quantile estimate in [0, 1] via cumulative bucket walk with linear
-  /// interpolation inside the winning bucket, never above max().
+  /// interpolation inside the winning bucket, within [min(), max()].
   /// Returns 0 when empty. Same as Snapshot().Percentile(q).
   double Percentile(double q) const;
 
@@ -139,10 +142,14 @@ class Histogram {
   friend class MetricRegistry;
   explicit Histogram(const HistogramOptions& options);
 
+  // +inf: any observation lowers it.
+  static constexpr std::uint64_t kEmptyMinBits = 0x7ff0000000000000ULL;
+
   HistogramOptions options_;
   std::vector<std::atomic<std::int64_t>> buckets_;
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};  // double stored as bits, CAS-added
+  std::atomic<std::uint64_t> min_bits_{kEmptyMinBits};
   std::atomic<std::uint64_t> max_bits_{0};
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 
-#include "src/common/parallel_exec.h"
 #include "src/common/thread_pool.h"
 
 namespace inferturbo {
@@ -12,7 +12,6 @@ namespace {
 
 std::atomic<int> g_max_threads{0};
 std::atomic<std::int64_t> g_min_parallel_work{1 << 18};
-std::atomic<bool> g_use_static_executor{true};
 std::atomic<bool> g_fast_math{false};
 std::atomic<bool> g_fast_math_bf16{false};
 
@@ -23,8 +22,6 @@ KernelConfig GetKernelConfig() {
   config.max_threads = g_max_threads.load(std::memory_order_relaxed);
   config.min_parallel_work =
       g_min_parallel_work.load(std::memory_order_relaxed);
-  config.use_static_executor =
-      g_use_static_executor.load(std::memory_order_relaxed);
   config.fast_math = g_fast_math.load(std::memory_order_relaxed);
   config.fast_math_bf16 = g_fast_math_bf16.load(std::memory_order_relaxed);
   return config;
@@ -35,28 +32,26 @@ void SetKernelConfig(const KernelConfig& config) {
   g_min_parallel_work.store(std::max<std::int64_t>(1,
                                                    config.min_parallel_work),
                             std::memory_order_relaxed);
-  g_use_static_executor.store(config.use_static_executor,
-                              std::memory_order_relaxed);
   g_fast_math.store(config.fast_math, std::memory_order_relaxed);
   g_fast_math_bf16.store(config.fast_math_bf16, std::memory_order_relaxed);
 }
 
 int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item) {
   if (n <= 0) return 1;
-  // Nested launches run serially: a pool worker waiting on the pool
-  // deadlocks, and an executor worker re-entering the barrier would
-  // wait on itself.
-  if (ThreadPool::InPoolWorker() || StaticExecutor::InWorker()) return 1;
+  // Nested launches run serially: a pool worker waiting on the pool can
+  // deadlock.
+  if (ThreadPool::InPoolWorker()) return 1;
   const KernelConfig config = GetKernelConfig();
-  const std::int64_t scheduler_threads =
-      config.use_static_executor
-          ? static_cast<std::int64_t>(StaticExecutor::Default().num_threads())
-          : static_cast<std::int64_t>(DefaultThreadPool().num_threads());
-  // max_threads is an upper bound, never a way to plan more concurrency
-  // than the scheduler has: tasks beyond the scheduler's threads cannot
-  // run concurrently and would be pure partitioning overhead (asking
-  // for 8 threads on a 1-core host must degrade to serial, not to 8
-  // serialized chunks with worse locality).
+  // Tasks beyond the pool's threads or the machine's cores cannot run
+  // concurrently and would be pure partitioning overhead, so both cap
+  // the plan; max_threads only lowers it (asking for 8 threads on a
+  // 1-core host must degrade to serial, not to 8 serialized chunks with
+  // worse locality).
+  static const std::int64_t hardware_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  const std::int64_t scheduler_threads = std::min<std::int64_t>(
+      static_cast<std::int64_t>(DefaultThreadPool().num_threads()),
+      hardware_threads);
   const std::int64_t thread_cap =
       config.max_threads > 0 ? std::min<std::int64_t>(config.max_threads,
                                                       scheduler_threads)
@@ -69,41 +64,26 @@ int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item) {
 void ParallelForChunksFixed(std::int64_t n, int tasks,
                             const std::function<void(const RangeChunk&)>& fn) {
   if (n <= 0) return;
-  if (tasks <= 1) {
+  tasks = std::max(1, tasks);
+  const auto run_chunk = [&](std::int64_t t) {
     RangeChunk chunk;
-    chunk.begin = 0;
-    chunk.end = n;
-    chunk.slot = &StaticExecutor::SerialSlot();
+    chunk.begin = RangeBegin(n, t, tasks);
+    chunk.end = RangeBegin(n, t + 1, tasks);
+    chunk.task = static_cast<int>(t);
+    chunk.num_tasks = tasks;
     fn(chunk);
+  };
+  if (tasks == 1 || ThreadPool::InPoolWorker()) {
+    for (int t = 0; t < tasks; ++t) run_chunk(t);
     return;
   }
-  const std::int64_t tasks64 = tasks;
-  if (GetKernelConfig().use_static_executor) {
-    StaticExecutor::Default().RunTasks(tasks, [&](WorkerSlot& slot, int t) {
-      RangeChunk chunk;
-      chunk.begin = RangeBegin(n, t, tasks64);
-      chunk.end = RangeBegin(n, t + 1, tasks64);
-      chunk.task = t;
-      chunk.num_tasks = tasks;
-      chunk.slot = &slot;
-      fn(chunk);
-    });
-    return;
-  }
-  // Legacy scheduling: one pool task per chunk via the pool's range
-  // overload (no per-index dispatch). Slots fall back to the
-  // per-thread serial slot, so scratch is still never shared.
+  // One pool task per chunk: with max_tasks == tasks, the pool's range
+  // overload hands every range exactly one task index.
   DefaultThreadPool().ParallelForRanges(
       static_cast<std::size_t>(tasks), static_cast<std::size_t>(tasks),
       [&](std::size_t t0, std::size_t t1) {
         for (std::size_t t = t0; t < t1; ++t) {
-          RangeChunk chunk;
-          chunk.begin = RangeBegin(n, static_cast<std::int64_t>(t), tasks64);
-          chunk.end = RangeBegin(n, static_cast<std::int64_t>(t) + 1, tasks64);
-          chunk.task = static_cast<int>(t);
-          chunk.num_tasks = tasks;
-          chunk.slot = &StaticExecutor::SerialSlot();
-          fn(chunk);
+          run_chunk(static_cast<std::int64_t>(t));
         }
       });
 }

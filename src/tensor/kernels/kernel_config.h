@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "src/common/parallel_exec.h"
-
 namespace inferturbo {
 namespace kernels {
 
@@ -18,18 +16,13 @@ namespace kernels {
 /// (documented tolerance, see fast_math_test).
 struct KernelConfig {
   /// Upper bound on tasks per kernel launch; 0 means the scheduler's
-  /// thread count (the static executor's, or the default pool's when
-  /// `use_static_executor` is off).
+  /// thread count (the default pool's, capped at the hardware
+  /// concurrency).
   int max_threads = 0;
   /// Minimum work (multiply-adds or copied floats) a task must carry
   /// before a kernel fans out; below this everything runs on the
   /// calling thread.
   std::int64_t min_parallel_work = 1 << 18;
-  /// Route parallel kernel launches to the StaticExecutor (persistent
-  /// pinned workers, static task ownership, spin-then-park barrier).
-  /// Off = legacy path: the default ThreadPool's range overload.
-  /// Results are identical either way; this is a scheduling choice.
-  bool use_static_executor = true;
   /// Opt-in fast-math tier for the matmuls: FMA contraction and
   /// relaxed accumulation order, validated against the scalar oracle
   /// at a documented tolerance instead of bit-identity. Never on by
@@ -45,15 +38,13 @@ void SetKernelConfig(const KernelConfig& config);
 
 /// One contiguous chunk of a fixed partition of [0, n): indices
 /// [begin, end), owned exclusively by task `task` of `num_tasks`.
-/// `slot` is the executing thread's persistent slot (scratch reuse);
-/// ownership decisions must use (task, num_tasks) only — the
-/// determinism contract.
+/// Ownership decisions must use (task, num_tasks) only, never the
+/// executing thread — the determinism contract.
 struct RangeChunk {
   std::int64_t begin = 0;
   std::int64_t end = 0;
   int task = 0;
   int num_tasks = 1;
-  WorkerSlot* slot = nullptr;
 };
 
 /// The partition boundary formula every parallel kernel shares: chunk
@@ -72,7 +63,7 @@ inline int RangeOwner(std::int64_t i, std::int64_t n, std::int64_t tasks) {
 
 /// How many tasks a kernel launch over `n` items of `work_per_item`
 /// cost would fan out to under the current config (1 when the caller
-/// is already a pool/executor worker — nested launches run serially).
+/// is already a pool worker — nested launches run serially).
 /// Kernels that pre-partition auxiliary state (row buckets) call this
 /// and then ParallelForChunksFixed with the same count, so the plan
 /// and the execution can never disagree.
@@ -81,21 +72,23 @@ int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item);
 /// Runs `fn(begin, end)` over a fixed contiguous partition of [0, n).
 /// Partition boundaries depend only on (n, task count), never on
 /// scheduling, and each index belongs to exactly one call — the
-/// determinism contract every parallel kernel builds on. Runs serially
-/// when the work is too small or the caller is already a pool or
-/// executor worker (nested waits would deadlock).
+/// determinism contract every parallel kernel builds on. Chunks run on
+/// DefaultThreadPool(); everything runs serially on the caller when the
+/// work is too small or the caller is already a pool worker (nested
+/// waits could deadlock).
 void ParallelForRanges(
     std::int64_t n, std::int64_t work_per_item,
     const std::function<void(std::int64_t, std::int64_t)>& fn);
 
 /// As ParallelForRanges, but hands each task its RangeChunk (task
-/// index + per-thread slot) for owner-indexed state and scratch reuse.
+/// index and count) for owner-indexed state.
 void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,
                        const std::function<void(const RangeChunk&)>& fn);
 
 /// ParallelForChunks at an exact task count (from PlanParallelTasks):
 /// runs precisely `tasks` chunks even when that exceeds the scheduler's
-/// threads, so owner-bucketed data built for `tasks` stays valid.
+/// threads, so owner-bucketed data built for `tasks` stays valid. From
+/// inside a pool worker the chunks run inline, in task order.
 void ParallelForChunksFixed(std::int64_t n, int tasks,
                             const std::function<void(const RangeChunk&)>& fn);
 

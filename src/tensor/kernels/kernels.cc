@@ -105,7 +105,7 @@ void PackPanel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j0,
 //  - deterministic rows: each task owns output rows. Serial calls and
 //    skinny-N shapes (not enough 16-column panels for the task count).
 //  - deterministic panels: tasks own column ranges; each packs its B
-//    columns into persistent per-thread scratch, so the streamed
+//    columns into a persistent thread_local scratch, so the streamed
 //    operand stays dense and core-local. Bit-identical to the row path
 //    (packing moves bytes, every per-element chain is unchanged).
 //  - fast-math panels: same geometry, FMA tiles (optionally bf16
@@ -137,7 +137,9 @@ void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
       std::min<std::int64_t>(tasks, std::max<std::int64_t>(1, groups)));
   constexpr std::int64_t kGroupsPerBlock = kPanelMaxCols / kPanelQuantum;
   ParallelForChunksFixed(groups, panel_tasks, [&](const RangeChunk& chunk) {
-    std::vector<float>& scratch = chunk.slot->scratch;
+    // Pool threads are persistent, so a thread's panel buffer is
+    // reused launch after launch instead of reallocated per call.
+    static thread_local std::vector<float> scratch;
     for (std::int64_t g0 = chunk.begin; g0 < chunk.end;
          g0 += kGroupsPerBlock) {
       const std::int64_t g1 = std::min(chunk.end, g0 + kGroupsPerBlock);

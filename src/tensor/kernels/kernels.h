@@ -11,10 +11,9 @@ namespace inferturbo {
 namespace kernels {
 
 /// The fast compute-kernel layer: register-tiled, ISA-dispatched
-/// matmuls and range-partitioned parallel segment/row ops (scheduled
-/// on the StaticExecutor, or the legacy ThreadPool path — a config
-/// choice that never changes results). In the default deterministic
-/// tier every kernel is BIT-IDENTICAL to its scalar twin in
+/// matmuls and range-partitioned parallel segment/row ops, their chunks
+/// scheduled on DefaultThreadPool(). In the default deterministic tier
+/// every kernel is BIT-IDENTICAL to its scalar twin in
 /// kernels::reference at any thread count — parallel partitions assign
 /// each output element to exactly one task in a fixed order,
 /// accumulation order per output element matches the reference

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/common/byte_size.h"
 #include "src/common/rng.h"
@@ -88,6 +92,37 @@ TEST(ThreadPoolTest, ParallelForHandlesSmallN) {
   EXPECT_EQ(calls, 1);
   pool.ParallelFor(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForIgnoresUnrelatedSubmittedTasks) {
+  ThreadPool pool(4);
+  // A task another caller submitted holds one worker until released.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> blocker_running{false};
+  pool.Submit([&blocker_running, released] {
+    blocker_running.store(true);
+    released.wait();
+  });
+  while (!blocker_running.load()) std::this_thread::yield();
+
+  // A watchdog releases the blocker after a bound, so a ParallelFor that
+  // waits for the whole pool fails the test instead of hanging it.
+  std::promise<void> returned;
+  std::future<void> returned_future = returned.get_future();
+  bool timed_out = false;
+  std::thread watchdog([&] {
+    timed_out = returned_future.wait_for(std::chrono::seconds(10)) !=
+                std::future_status::ready;
+    release.set_value();
+  });
+  std::atomic<int> calls{0};
+  pool.ParallelFor(4, [&calls](std::size_t) { calls.fetch_add(1); });
+  returned.set_value();
+  watchdog.join();
+  pool.Wait();
+  EXPECT_FALSE(timed_out) << "ParallelFor waited for a task it did not launch";
+  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

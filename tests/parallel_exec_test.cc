@@ -1,22 +1,22 @@
-// The static-ownership scheduler's contracts: fixed task→thread
-// mapping, the RangeBegin/RangeOwner partition algebra, serial nested
-// launches, exact task counts in ParallelForChunksFixed (even beyond
-// the thread count), and barrier correctness under back-to-back
-// launches (the tsan job runs this binary to vet the spin-then-park
-// epoch protocol). An explicit StaticExecutor(4) makes the multi-thread
-// paths real even on single-core hosts; the env override below sizes
-// the Default() executor to 4 for the same reason, so the config-driven
-// kernels exercise genuine cross-thread launches here regardless of the
-// machine.
+// The kernel scheduling contracts on the one pool: the
+// RangeBegin/RangeOwner partition algebra, exact task counts in
+// ParallelForChunksFixed (even beyond the thread count), serial inline
+// launches from inside a pool task, exact coverage under concurrent
+// back-to-back launches (the tsan job runs this binary to vet the
+// per-launch waits), and bit-identical kernels at every thread count.
+// Kernels fan out on DefaultThreadPool(), capped at the hardware
+// concurrency, so the multi-thread settings below genuinely run in
+// parallel only on multi-core hosts; the explicit-task-count and
+// explicit-pool cases cross threads on any host.
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/parallel_exec.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/tensor/kernels/kernel_config.h"
@@ -25,14 +25,6 @@
 
 namespace inferturbo {
 namespace {
-
-// Must run before the first StaticExecutor::Default() call in this
-// process: a static initializer beats main(), and nothing touches the
-// executor before then in a test binary.
-const bool g_exec_env = [] {
-  ::setenv("INFERTURBO_EXEC_THREADS", "4", /*overwrite=*/1);
-  return true;
-}();
 
 TEST(RangePartition, BoundariesCoverEverythingExactlyOnce) {
   for (const std::int64_t n : {0, 1, 2, 7, 10, 16, 1000, 4097}) {
@@ -68,110 +60,15 @@ TEST(RangePartition, OwnerIsTheClosedFormInverse) {
   }
 }
 
-TEST(StaticExecutorTest, RunsEveryTaskExactlyOnce) {
-  StaticExecutor exec(4);
-  EXPECT_EQ(exec.num_threads(), 4);
-  for (const int tasks : {1, 2, 3, 4, 5, 9, 64}) {
-    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(tasks));
-    for (auto& h : hits) h.store(0);
-    exec.RunTasks(tasks, [&](WorkerSlot&, int t) {
-      hits[static_cast<std::size_t>(t)].fetch_add(1);
-    });
-    for (int t = 0; t < tasks; ++t) {
-      EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1)
-          << "task " << t << " of " << tasks;
-    }
-  }
-}
-
-TEST(StaticExecutorTest, TaskToThreadMapIsStatic) {
-  StaticExecutor exec(4);
-  constexpr int kTasks = 16;
-  // Record the slot thread_id each task saw: task t must always land on
-  // thread t mod 4, launch after launch.
-  for (int round = 0; round < 8; ++round) {
-    std::vector<int> thread_of_task(kTasks, -1);
-    exec.RunTasks(kTasks, [&](WorkerSlot& slot, int t) {
-      thread_of_task[static_cast<std::size_t>(t)] = slot.thread_id;
-    });
-    for (int t = 0; t < kTasks; ++t) {
-      EXPECT_EQ(thread_of_task[static_cast<std::size_t>(t)], t % 4)
-          << "task " << t << " round " << round;
-    }
-  }
-}
-
-TEST(StaticExecutorTest, BackToBackLaunchesKeepTheBarrierHonest) {
-  // Rapid-fire launches with work of wildly different sizes: a worker
-  // still in the previous epoch, or one double-running a task, breaks
-  // the sum. (This is the stress body the tsan CI job leans on.)
-  StaticExecutor exec(4);
-  Rng rng(7);
-  for (int round = 0; round < 500; ++round) {
-    const int tasks =
-        1 + static_cast<int>(rng.NextBounded(9));  // 1..9, above and below T
-    std::atomic<std::int64_t> sum{0};
-    exec.RunTasks(tasks, [&](WorkerSlot&, int t) {
-      std::int64_t local = 0;
-      for (int i = 0; i <= t; ++i) local += i + 1;
-      sum.fetch_add(local);
-    });
-    std::int64_t want = 0;
-    for (int t = 0; t < tasks; ++t) {
-      for (int i = 0; i <= t; ++i) want += i + 1;
-    }
-    ASSERT_EQ(sum.load(), want) << "round " << round;
-  }
-}
-
-TEST(StaticExecutorTest, NestedLaunchesRunInlineSerially) {
-  StaticExecutor exec(4);
-  std::atomic<int> inner_runs{0};
-  std::atomic<bool> saw_worker_flag{false};
-  exec.RunTasks(4, [&](WorkerSlot&, int) {
-    EXPECT_TRUE(StaticExecutor::InWorker() || !saw_worker_flag.load());
-    // A nested launch from inside a task must not deadlock and must run
-    // all its tasks (inline, on this thread).
-    StaticExecutor::Default().RunTasks(
-        3, [&](WorkerSlot&, int) { inner_runs.fetch_add(1); });
-    saw_worker_flag.store(true);
-  });
-  EXPECT_EQ(inner_runs.load(), 4 * 3);
-}
-
-TEST(StaticExecutorTest, WorkerSlotsAreDistinctAndPersistent) {
-  StaticExecutor exec(4);
-  // Each task writes a marker into its slot scratch; distinct threads
-  // must see distinct slots, and scratch persists across launches.
-  exec.RunTasks(4, [&](WorkerSlot& slot, int t) {
-    slot.scratch.assign(1, static_cast<float>(t));
-  });
-  std::vector<float> seen(4, -1.0f);
-  exec.RunTasks(4, [&](WorkerSlot& slot, int t) {
-    ASSERT_EQ(slot.thread_id, t % 4);
-    seen[static_cast<std::size_t>(t)] = slot.scratch.at(0);
-  });
-  for (int t = 0; t < 4; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)], static_cast<float>(t));
-  }
-}
-
-TEST(StaticExecutorTest, DefaultHonorsEnvOverride) {
-  // The static initializer above set INFERTURBO_EXEC_THREADS=4 before
-  // anything could instantiate the default executor.
-  EXPECT_EQ(StaticExecutor::Default().num_threads(), 4);
-}
-
 class ChunkApiTest : public ::testing::Test {
  protected:
   void SetUp() override { saved_ = kernels::GetKernelConfig(); }
   void TearDown() override { kernels::SetKernelConfig(saved_); }
 
-  void UseThreads(int max_threads, bool use_static) {
+  void UseThreads(int max_threads) {
     kernels::KernelConfig config;
     config.max_threads = max_threads;
     config.min_parallel_work = 1;
-    config.use_static_executor = use_static;
     kernels::SetKernelConfig(config);
   }
 
@@ -180,43 +77,109 @@ class ChunkApiTest : public ::testing::Test {
 };
 
 TEST_F(ChunkApiTest, FixedTaskCountIsHonoredBeyondThreads) {
-  for (const bool use_static : {true, false}) {
-    UseThreads(4, use_static);
-    // 11 tasks on a 4-thread scheduler: every task index must still be
-    // delivered exactly once with the exact partition boundaries —
-    // owner-bucketed data built for 11 tasks depends on it.
-    constexpr int kTasks = 11;
-    constexpr std::int64_t kN = 103;
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto& h : hits) h.store(0);
-    std::vector<std::int64_t> begins(kTasks, -1), ends(kTasks, -1);
-    kernels::ParallelForChunksFixed(
-        kN, kTasks, [&](const kernels::RangeChunk& chunk) {
-          hits[static_cast<std::size_t>(chunk.task)].fetch_add(1);
-          begins[static_cast<std::size_t>(chunk.task)] = chunk.begin;
-          ends[static_cast<std::size_t>(chunk.task)] = chunk.end;
-          ASSERT_EQ(chunk.num_tasks, kTasks);
-          ASSERT_NE(chunk.slot, nullptr);
-        });
-    for (int t = 0; t < kTasks; ++t) {
-      EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1);
-      EXPECT_EQ(begins[static_cast<std::size_t>(t)],
-                kernels::RangeBegin(kN, t, kTasks));
-      EXPECT_EQ(ends[static_cast<std::size_t>(t)],
-                kernels::RangeBegin(kN, t + 1, kTasks));
-    }
+  UseThreads(4);
+  // 11 tasks on a pool of at most a few threads: every task index must
+  // still be delivered exactly once with the exact partition
+  // boundaries — owner-bucketed data built for 11 tasks depends on it.
+  constexpr int kTasks = 11;
+  constexpr std::int64_t kN = 103;
+  std::vector<std::atomic<int>> hits(kTasks);
+  for (auto& h : hits) h.store(0);
+  std::vector<std::int64_t> begins(kTasks, -1), ends(kTasks, -1);
+  kernels::ParallelForChunksFixed(
+      kN, kTasks, [&](const kernels::RangeChunk& chunk) {
+        hits[static_cast<std::size_t>(chunk.task)].fetch_add(1);
+        begins[static_cast<std::size_t>(chunk.task)] = chunk.begin;
+        ends[static_cast<std::size_t>(chunk.task)] = chunk.end;
+        ASSERT_EQ(chunk.num_tasks, kTasks);
+      });
+  for (int t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1);
+    EXPECT_EQ(begins[static_cast<std::size_t>(t)],
+              kernels::RangeBegin(kN, t, kTasks));
+    EXPECT_EQ(ends[static_cast<std::size_t>(t)],
+              kernels::RangeBegin(kN, t + 1, kTasks));
   }
 }
 
 TEST_F(ChunkApiTest, PlanNeverExceedsSchedulerThreads) {
-  UseThreads(64, /*use_static=*/true);
-  // Asking for 64 threads cannot plan more concurrency than the
-  // executor has (4 here): excess tasks would serialize with pure
+  UseThreads(64);
+  // Asking for 64 threads cannot plan more concurrency than the pool
+  // has or the machine can run: excess tasks would serialize with pure
   // partitioning overhead.
-  EXPECT_LE(kernels::PlanParallelTasks(1 << 20, 1 << 10),
-            StaticExecutor::Default().num_threads());
-  UseThreads(2, /*use_static=*/true);
+  const int hardware_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int planned = kernels::PlanParallelTasks(1 << 20, 1 << 10);
+  EXPECT_LE(planned, static_cast<int>(DefaultThreadPool().num_threads()));
+  EXPECT_LE(planned, hardware_threads);
+  UseThreads(2);
   EXPECT_LE(kernels::PlanParallelTasks(1 << 20, 1 << 10), 2);
+}
+
+TEST_F(ChunkApiTest, NestedLaunchesRunInlineSerially) {
+  UseThreads(4);
+  // From inside a pool task, a kernel launch must not wait on the pool
+  // (every worker could be waiting): it plans one task and runs it
+  // inline on the calling worker, covering every index.
+  constexpr std::int64_t kN = 1000;
+  ThreadPool pool(4);
+  std::atomic<int> failures{0};
+  pool.ParallelFor(4, [&](std::size_t) {
+    if (!ThreadPool::InPoolWorker()) failures.fetch_add(1);
+    if (kernels::PlanParallelTasks(kN, 1 << 20) != 1) failures.fetch_add(1);
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<int> hits(kN, 0);
+    kernels::ParallelForChunks(
+        kN, 1 << 20, [&](const kernels::RangeChunk& chunk) {
+          if (std::this_thread::get_id() != self) failures.fetch_add(1);
+          for (std::int64_t i = chunk.begin; i < chunk.end; ++i) ++hits[i];
+        });
+    // An explicit task count also runs inline, every chunk in order.
+    std::int64_t next_begin = 0;
+    kernels::ParallelForChunksFixed(
+        kN, 5, [&](const kernels::RangeChunk& chunk) {
+          if (std::this_thread::get_id() != self) failures.fetch_add(1);
+          if (chunk.begin != next_begin) failures.fetch_add(1);
+          next_begin = chunk.end;
+          for (std::int64_t i = chunk.begin; i < chunk.end; ++i) ++hits[i];
+        });
+    if (next_begin != kN) failures.fetch_add(1);
+    for (const int h : hits) {
+      if (h != 2) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST_F(ChunkApiTest, ConcurrentBackToBackLaunchesCoverExactly) {
+  // Two threads fire 500 range launches each at one pool, with sizes
+  // above and below its thread count: a launch that returns before its
+  // own ranges finish, or a range run twice or never, breaks the
+  // coverage. (This is the stress body the tsan CI job leans on.)
+  ThreadPool pool(4);
+  std::atomic<int> failures{0};
+  const auto hammer = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    for (int round = 0; round < 500; ++round) {
+      const std::size_t n = 1 + rng.NextBounded(64);
+      const std::size_t max_tasks = 1 + rng.NextBounded(9);
+      std::vector<int> hits(n, 0);
+      pool.ParallelForRanges(n, max_tasks,
+                             [&](std::size_t begin, std::size_t end) {
+                               for (std::size_t i = begin; i < end; ++i) {
+                                 ++hits[i];
+                               }
+                             });
+      for (const int h : hits) {
+        if (h != 1) failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread first(hammer, 7);
+  std::thread second(hammer, 8);
+  first.join();
+  second.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST_F(ChunkApiTest, ThreadPoolRangeOverloadCoversEverythingOnce) {
@@ -238,10 +201,8 @@ TEST_F(ChunkApiTest, ThreadPoolRangeOverloadCoversEverythingOnce) {
   }
 }
 
-// With the Default() executor sized to 4 by the env override, the
-// config-driven kernels genuinely fan out here even on a 1-core host.
-// Bit-identity across schedulers and thread counts is the contract that
-// makes the scheduling knobs safe to flip in production.
+// Bit-identity across thread counts is the contract that makes the
+// scheduling knob safe to flip in production.
 TEST_F(ChunkApiTest, KernelsBitIdenticalAcrossSchedulersAndThreadCounts) {
   Rng rng(11);
   const Tensor a = Tensor::RandomNormal(37, 29, 1.0f, &rng);
@@ -262,23 +223,21 @@ TEST_F(ChunkApiTest, KernelsBitIdenticalAcrossSchedulersAndThreadCounts) {
     kernels::reference::ScatterAddRows(&want_scatter, clipped, values);
   }
 
-  for (const bool use_static : {true, false}) {
-    for (const int threads : {1, 2, 3, 4}) {
-      UseThreads(threads, use_static);
-      const Tensor got_mm = kernels::MatMul(a, b);
-      ASSERT_EQ(0, std::memcmp(want_mm.data(), got_mm.data(),
-                               want_mm.ByteSize()))
-          << "matmul threads=" << threads << " static=" << use_static;
-      const Tensor got_seg = kernels::SegmentSum(values, ids, 31);
-      ASSERT_EQ(0, std::memcmp(want_seg.data(), got_seg.data(),
-                               want_seg.ByteSize()))
-          << "segment_sum threads=" << threads << " static=" << use_static;
-      Tensor got_scatter(31, 9);
-      kernels::ScatterAddRows(&got_scatter, ids_span, values);
-      ASSERT_EQ(0, std::memcmp(want_scatter.data(), got_scatter.data(),
-                               want_scatter.ByteSize()))
-          << "scatter_add threads=" << threads << " static=" << use_static;
-    }
+  for (const int threads : {1, 2, 3, 4}) {
+    UseThreads(threads);
+    const Tensor got_mm = kernels::MatMul(a, b);
+    ASSERT_EQ(0,
+              std::memcmp(want_mm.data(), got_mm.data(), want_mm.ByteSize()))
+        << "matmul threads=" << threads;
+    const Tensor got_seg = kernels::SegmentSum(values, ids, 31);
+    ASSERT_EQ(0, std::memcmp(want_seg.data(), got_seg.data(),
+                             want_seg.ByteSize()))
+        << "segment_sum threads=" << threads;
+    Tensor got_scatter(31, 9);
+    kernels::ScatterAddRows(&got_scatter, ids_span, values);
+    ASSERT_EQ(0, std::memcmp(want_scatter.data(), got_scatter.data(),
+                             want_scatter.ByteSize()))
+        << "scatter_add threads=" << threads;
   }
 }
 

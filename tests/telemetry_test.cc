@@ -113,10 +113,11 @@ TEST_F(TelemetryTest, HistogramPercentileInterpolation) {
   // 100 observations uniformly inside bucket 0 (0, 1].
   for (int i = 0; i < 100; ++i) h->Observe(0.5);
   // p50 interpolates to the middle of bucket 0's (0, 1] range; p100
-  // would reach the bucket's upper edge but stops at the observed max.
+  // would reach the bucket's upper edge but stops at the observed max,
+  // and p0 would reach the lower edge but stops at the observed min.
   EXPECT_DOUBLE_EQ(h->Percentile(0.50), 0.5);
   EXPECT_DOUBLE_EQ(h->Percentile(1.00), 0.5);
-  EXPECT_DOUBLE_EQ(h->Percentile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h->Percentile(0.0), 0.5);
 
   // Push 100 more into bucket 2 (2, 4]: now p75 lands inside bucket 2.
   for (int i = 0; i < 100; ++i) h->Observe(3.0);
@@ -145,6 +146,33 @@ TEST_F(TelemetryTest, HistogramPercentileNeverExceedsObservedMax) {
     EXPECT_DOUBLE_EQ(h->Percentile(q), h->Snapshot().Percentile(q));
   }
   EXPECT_DOUBLE_EQ(h->Percentile(0.99), 0.0387);
+}
+
+TEST_F(TelemetryTest, HistogramPercentileNeverBelowObservedMin) {
+  SetMetricsEnabled(true);
+  Histogram* h = GlobalMetrics().GetHistogram("test.narrow_low");
+  // Five samples near the top of the default grid's (0.0328, 0.0655]
+  // bucket: interpolating from the lower edge puts p1 near 0.033.
+  for (int i = 0; i < 5; ++i) h->Observe(0.0387);
+  EXPECT_DOUBLE_EQ(h->min(), 0.0387);
+  for (const double q : {0.0, 0.01, 0.50, 1.00}) {
+    SCOPED_TRACE(q);
+    EXPECT_DOUBLE_EQ(h->Percentile(q), 0.0387);
+    EXPECT_DOUBLE_EQ(h->Snapshot().Percentile(q), 0.0387);
+  }
+  // A delta keeps the cumulative min: a lower bound for the interval.
+  const HistogramSnapshot before = h->Snapshot();
+  h->Observe(0.05);
+  const HistogramSnapshot delta = h->Snapshot().DeltaSince(before);
+  EXPECT_EQ(delta.count, 1);
+  EXPECT_DOUBLE_EQ(delta.min, 0.0387);
+  EXPECT_GE(delta.Percentile(0.01), 0.0387);
+  EXPECT_LE(delta.Percentile(0.99), 0.05);
+
+  GlobalMetrics().ResetValues();
+  EXPECT_DOUBLE_EQ(h->min(), 0.0);
+  h->Observe(0.002);
+  EXPECT_DOUBLE_EQ(h->min(), 0.002);
 }
 
 TEST_F(TelemetryTest, HistogramOverflowPercentileUsesObservedMax) {
