@@ -9,14 +9,12 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/checkpoint/checkpoint_store.h"
 #include "src/common/binary_io.h"
 #include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
 #include "src/gas/superstep_gather.h"
+#include "src/inference/job_frame.h"
 #include "src/mapreduce/mapreduce_engine.h"
-#include "src/storage/graph_view.h"
-#include "src/storage/shard_pipeline.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/ops.h"
@@ -86,23 +84,15 @@ enum RecordTag : std::int32_t {
 class MrInferenceDriver {
  public:
   MrInferenceDriver(const GraphView& view, const GnnModel& model,
-                    const InferTurboOptions& options,
-                    std::int64_t hub_threshold)
-      : view_(view),
-        model_(model),
-        options_(options),
-        hub_threshold_(hub_threshold) {
-    for (std::int64_t l = 0; l < model.num_layers(); ++l) {
-      ships_edge_features_ =
-          ships_edge_features_ || model.layer(l).signature().uses_edge_features;
-    }
-    INFERTURBO_CHECK(!ships_edge_features_ || view.edge_feature_dim() > 0)
+                    const InferTurboOptions& options, const ScatterPlan& plan)
+      : view_(view), model_(model), options_(options), plan_(plan) {
+    INFERTURBO_CHECK(!plan.ships_edge_features() || view.edge_feature_dim() > 0)
         << "model needs edge features the graph does not have";
-    INFERTURBO_CHECK(view.num_partitions() == options.num_workers)
-        << "view partitioning must match the worker count";
   }
 
-  Result<Tensor> Run() {
+  /// Runs the job; the map stage's shard pipeline accounting is merged
+  /// into `pipeline_stats` when given.
+  Result<InferenceResult> Run(PipelineStats* pipeline_stats) {
     MapReduceJob::Options job_options;
     job_options.num_instances = options_.num_workers;
     job_options.cost_model = options_.cost_model;
@@ -113,31 +103,16 @@ class MrInferenceDriver {
     job_options.retry = options_.io_retry;
     // One supervisor for the whole job: quarantine decisions and
     // supervision counters span the map stage and every reduce round.
-    std::optional<TaskSupervisor> supervisor;
-    if (options_.supervise_tasks || options_.fault_plan != nullptr) {
-      TaskSupervisionOptions supervision = options_.supervision;
-      supervision.pool = options_.pool;
-      supervision.fault_plan = options_.fault_plan;
-      supervisor.emplace(supervision);
-      job_options.supervisor = &*supervisor;
-    }
+    const std::unique_ptr<TaskSupervisor> supervisor =
+        MakeTaskSupervisor(options_);
+    job_options.supervisor = supervisor.get();
     MapReduceJob job(job_options);
 
     // Durable round checkpoints: stage 0 is the map, stage l+1 is
     // reduce round l; a checkpoint at stage s means stages <= s are
     // durable and a resumed process re-enters at stage s+1.
     std::optional<CheckpointStore> store;
-    if (!options_.checkpoint_directory.empty()) {
-      CheckpointStoreOptions store_options;
-      store_options.directory = options_.checkpoint_directory;
-      store_options.keep_last = options_.checkpoint_keep_last;
-      store_options.fault_injector = options_.io_fault_injector;
-      store_options.retry = options_.io_retry;
-      Result<CheckpointStore> opened =
-          CheckpointStore::Open(std::move(store_options));
-      if (!opened.ok()) return opened.status();
-      store.emplace(std::move(opened).ValueOrDie());
-    }
+    INFERTURBO_RETURN_NOT_OK(OpenCheckpointStore(options_, &store));
     std::int64_t completed_stage = -1;  // nothing durable yet
     if (store && options_.resume_from) {
       Result<CheckpointData> latest = store->LoadLatest();
@@ -189,7 +164,7 @@ class MrInferenceDriver {
               MapStage(instance, emitter);
             });
         pipeline_ = nullptr;
-        pipeline_stats_.Merge(pipeline.stats());
+        if (pipeline_stats != nullptr) pipeline_stats->Merge(pipeline.stats());
         INFERTURBO_RETURN_NOT_OK(map_status);
       }
       // MapFn cannot return a Status; partition-acquire failures (e.g.
@@ -208,11 +183,8 @@ class MrInferenceDriver {
       if (stage <= completed_stage) continue;  // already durable
       INFERTURBO_RETURN_NOT_OK(killed(stage));
       MapReduceJob::CombineFn combiner;
-      const LayerSignature& sig = model_.layer(l).signature();
-      const bool use_partial = options_.strategies.partial_gather &&
-                               sig.partial_gather &&
-                               PartialGatherReduces(sig.agg_kind);
-      if (use_partial) {
+      if (plan_.layer(l).partial_gather) {
+        const LayerSignature& sig = model_.layer(l).signature();
         const AggKind kind = sig.agg_kind;
         const std::int64_t msg_dim = sig.message_dim;
         combiner = [kind, msg_dim](const MrBlock& block,
@@ -232,20 +204,21 @@ class MrInferenceDriver {
 
     // Collect kPrediction (and optional kEmbedding) rows.
     const std::int64_t num_nodes = view_.num_nodes();
-    Tensor logits(num_nodes, model_.num_classes());
+    InferenceResult result;
+    result.logits = Tensor(num_nodes, model_.num_classes());
     if (options_.export_embeddings) {
-      embeddings_ = Tensor(num_nodes, model_.embedding_dim());
+      result.embeddings = Tensor(num_nodes, model_.embedding_dim());
     }
     std::vector<bool> seen(static_cast<std::size_t>(num_nodes), false);
     const MrBlock outputs = job.TakeOutputs();
     for (std::size_t i = 0; i < outputs.size(); ++i) {
       const NodeId v = outputs.keys[i];
       if (outputs.tags[i] == kEmbedding) {
-        embeddings_.SetRow(v, outputs.Floats(i).data());
+        result.embeddings.SetRow(v, outputs.Floats(i).data());
         continue;
       }
       if (outputs.tags[i] != kPrediction) continue;
-      logits.SetRow(v, outputs.Floats(i).data());
+      result.logits.SetRow(v, outputs.Floats(i).data());
       seen[static_cast<std::size_t>(v)] = true;
     }
     for (NodeId v = 0; v < num_nodes; ++v) {
@@ -254,17 +227,11 @@ class MrInferenceDriver {
                                 " produced no prediction");
       }
     }
-    metrics_ = job.metrics();
-    if (supervisor) metrics_.supervision = supervisor->metrics();
-    failures_recovered_ = job.failures_recovered();
-    return logits;
+    result.metrics = job.metrics();
+    if (supervisor) result.metrics.supervision = supervisor->metrics();
+    options_.failures_recovered = job.failures_recovered();
+    return result;
   }
-
-  std::int64_t failures_recovered() const { return failures_recovered_; }
-  Tensor TakeEmbeddings() { return std::move(embeddings_); }
-
-  JobMetrics TakeMetrics() { return std::move(metrics_); }
-  const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
  private:
   /// Out-adjacency of one node as shipped on the dataflow: its
@@ -321,8 +288,8 @@ class MrInferenceDriver {
   /// The initialization stage: map instance p streams partition p of
   /// the view through the shard pipeline, whose loader thread is
   /// already filling p+1 while this instance computes. Raw features
-  /// become layer-0 states; self-state, out-edge info, and layer-0
-  /// messages enter the dataflow.
+  /// become layer-0 states, which enter the dataflow with the out-edges
+  /// and layer-0 messages.
   void MapStage(std::int64_t instance, MrEmitter* emitter) {
     Result<PartitionSlice> acquired =
         pipeline_ != nullptr ? pipeline_->Acquire(instance)
@@ -336,8 +303,9 @@ class MrInferenceDriver {
     if (n == 0) return;
     const std::size_t fd = static_cast<std::size_t>(view_.feature_dim());
     const std::size_t efd =
-        ships_edge_features_ ? static_cast<std::size_t>(view_.edge_feature_dim())
-                             : 0;
+        plan_.ships_edge_features()
+            ? static_cast<std::size_t>(view_.edge_feature_dim())
+            : 0;
     Tensor states(static_cast<std::int64_t>(n), static_cast<std::int64_t>(fd));
     std::memcpy(states.data(), slice.node_features, n * fd * sizeof(float));
     std::vector<OutEdges> adjacency(n);
@@ -351,25 +319,7 @@ class MrInferenceDriver {
                               degree * efd};
       }
     }
-    const Tensor messages = model_.layer(0).ComputeMessage(states);
-    const std::size_t edges = slice.out_dst.size();
-    emitter->block().Reserve(
-        2 * n + edges,
-        n * fd + edges * (efd + static_cast<std::size_t>(messages.cols())),
-        2 * edges);
-    for (std::size_t i = 0; i < n; ++i) {
-      emitter->Emit(slice.nodes[i], kSelfState, /*src=*/-1,
-                    {states.RowPtr(static_cast<std::int64_t>(i)), fd});
-      emitter->Emit(slice.nodes[i], kOutEdges, /*src=*/-1, adjacency[i].feats,
-                    adjacency[i].dst);
-    }
-    const Tensor edge_rows = EdgeMessages(model_.layer(0), messages, adjacency);
-    std::int64_t edge_cursor = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      EmitNodeMessages(model_.layer(0).signature(), slice.nodes[i],
-                       RowSpan(messages, static_cast<std::int64_t>(i)),
-                       adjacency[i], edge_rows, &edge_cursor, emitter);
-    }
+    EmitLayerInputs(0, slice.nodes, states, adjacency, emitter);
   }
 
   void RecordMapError(const Status& status) {
@@ -493,92 +443,80 @@ class MrInferenceDriver {
     }
 
     // Re-emit persistent records and the next layer's messages.
-    const GasConv& next = model_.layer(layer_index + 1);
-    const Tensor messages = next.ComputeMessage(new_state);
+    std::vector<NodeId> keys(groups);
     std::vector<OutEdges> adjacency(groups);
-    std::size_t edges = 0, edge_floats = 0;
     for (std::size_t g = 0; g < groups; ++g) {
+      keys[g] = input.key(g);
       if (edges_record[g] < 0) continue;
       const auto e = static_cast<std::size_t>(edges_record[g]);
       adjacency[g] = {records.Ids(e), records.Floats(e)};
-      edges += adjacency[g].dst.size();
-      edge_floats += adjacency[g].feats.size();
+    }
+    EmitLayerInputs(layer_index + 1, keys, new_state, adjacency, emitter);
+  }
+
+  /// Emits what reduce round `layer_index` needs from these nodes: per
+  /// node its state, its out-edges, then its messages along them — the
+  /// merged per-edge rows for edge-featured layers, broadcast refs for
+  /// hubs, dense rows otherwise (map-side partial aggregation is the
+  /// engine combiner's job). Node by node, so the next round's arrival
+  /// order — and with it every fold order — does not depend on how many
+  /// nodes share a batch.
+  void EmitLayerInputs(std::int64_t layer_index, std::span<const NodeId> keys,
+                       const Tensor& states,
+                       std::span<const OutEdges> adjacency,
+                       MrEmitter* emitter) {
+    const GasConv& layer = model_.layer(layer_index);
+    const Tensor messages = layer.ComputeMessage(states);
+    std::vector<std::int64_t> degrees;
+    std::size_t edges = 0, edge_floats = 0;
+    for (const OutEdges& out : adjacency) {
+      degrees.push_back(static_cast<std::int64_t>(out.dst.size()));
+      edges += out.dst.size();
+      edge_floats += out.feats.size();
+    }
+    Tensor edge_rows;  // edge-featured layers: one row per out-edge
+    if (plan_.layer(layer_index).edge_features) {
+      Tensor feats(static_cast<std::int64_t>(edges), view_.edge_feature_dim());
+      float* cursor = feats.data();
+      for (const OutEdges& out : adjacency) {
+        cursor = std::copy(out.feats.begin(), out.feats.end(), cursor);
+      }
+      edge_rows = ExpandEdgeMessages(layer, messages, degrees, feats);
     }
     emitter->block().Reserve(
-        2 * groups + edges,
-        groups * static_cast<std::size_t>(new_state.cols()) + edge_floats +
-            edges * static_cast<std::size_t>(messages.cols() +
-                                             view_.edge_feature_dim()),
+        2 * keys.size() + edges,
+        static_cast<std::size_t>(states.size()) + edge_floats +
+            edges * static_cast<std::size_t>(
+                        std::max(messages.cols(), edge_rows.cols())),
         2 * edges);
-    const Tensor edge_rows = EdgeMessages(next, messages, adjacency);
-    std::int64_t edge_cursor = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const auto r = static_cast<std::int64_t>(g);
-      emitter->Emit(input.key(g), kSelfState, /*src=*/-1,
-                    RowSpan(new_state, r));
-      emitter->Emit(input.key(g), kOutEdges, /*src=*/-1, adjacency[g].feats,
-                    adjacency[g].dst);
-      EmitNodeMessages(next.signature(), input.key(g), RowSpan(messages, r),
-                       adjacency[g], edge_rows, &edge_cursor, emitter);
-    }
-  }
-
-  /// For a layer whose apply_edge consumes edge features: one batched
-  /// ApplyEdge over every out-edge of the batch, row k being the merged
-  /// message of the batch's k-th out-edge (node order, then edge order).
-  /// Empty for every other layer.
-  Tensor EdgeMessages(const GasConv& layer, const Tensor& messages,
-                      std::span<const OutEdges> adjacency) const {
-    if (!layer.signature().uses_edge_features) return Tensor();
-    const std::int64_t edge_dim = view_.edge_feature_dim();
-    std::int64_t edges = 0;
-    for (const OutEdges& out : adjacency) {
-      edges += static_cast<std::int64_t>(out.dst.size());
-    }
-    if (edges == 0) return Tensor();
-    Tensor base(edges, messages.cols());
-    Tensor feats(edges, edge_dim);
-    std::int64_t k = 0;
-    for (std::size_t i = 0; i < adjacency.size(); ++i) {
-      for (std::size_t e = 0; e < adjacency[i].dst.size(); ++e, ++k) {
-        base.SetRow(k, messages.RowPtr(static_cast<std::int64_t>(i)));
-        feats.SetRow(k, adjacency[i].feats.data() +
-                            static_cast<std::int64_t>(e) * edge_dim);
+    std::int64_t edge_row = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const NodeId v = keys[i];
+      const auto r = static_cast<std::int64_t>(i);
+      const OutEdges& out = adjacency[i];
+      emitter->Emit(v, kSelfState, /*src=*/-1, RowSpan(states, r));
+      emitter->Emit(v, kOutEdges, /*src=*/-1, out.feats, out.dst);
+      if (plan_.layer(layer_index).edge_features) {
+        for (const NodeId d : out.dst) {
+          emitter->Emit(d, kInMessage, v, RowSpan(edge_rows, edge_row++));
+        }
+      } else if (plan_.IsHub(layer_index,
+                             static_cast<std::int64_t>(out.dst.size()))) {
+        {
+          // Idempotent under supervised duplicate attempts: both write
+          // the same deterministic bytes for v, so last-write-wins is
+          // byte-identical to exactly-once.
+          std::lock_guard<std::mutex> lock(broadcast_mutex_);
+          broadcast_staging_[v].assign(messages.RowPtr(r),
+                                       messages.RowPtr(r) + messages.cols());
+        }
+        for (const NodeId d : out.dst) emitter->Emit(d, kRef, v);
+      } else {
+        for (const NodeId d : out.dst) {
+          emitter->Emit(d, kInMessage, v, RowSpan(messages, r));
+        }
       }
     }
-    return layer.ApplyEdge(base, &feats);
-  }
-
-  /// Sends node v's message `row` along its out-edges: the merged
-  /// per-edge rows of `edge_rows` (consumed from *edge_cursor) for
-  /// edge-featured layers, broadcast refs for hubs, dense rows
-  /// otherwise. Map-side partial aggregation is the engine combiner's
-  /// job, so dense rows are emitted as-is here.
-  void EmitNodeMessages(const LayerSignature& sig, NodeId v,
-                        std::span<const float> row, const OutEdges& out,
-                        const Tensor& edge_rows, std::int64_t* edge_cursor,
-                        MrEmitter* emitter) {
-    if (sig.uses_edge_features) {
-      for (const NodeId d : out.dst) {
-        emitter->Emit(d, kInMessage, v, RowSpan(edge_rows, (*edge_cursor)++));
-      }
-      return;
-    }
-    const bool hub = options_.strategies.broadcast &&
-                     sig.broadcastable_messages && hub_threshold_ > 0 &&
-                     static_cast<std::int64_t>(out.dst.size()) > hub_threshold_;
-    if (hub) {
-      {
-        // Idempotent under supervised duplicate attempts: both write
-        // the same deterministic bytes for v, so last-write-wins is
-        // byte-identical to exactly-once.
-        std::lock_guard<std::mutex> lock(broadcast_mutex_);
-        broadcast_staging_[v].assign(row.begin(), row.end());
-      }
-      for (const NodeId d : out.dst) emitter->Emit(d, kRef, v);
-      return;
-    }
-    for (const NodeId d : out.dst) emitter->Emit(d, kInMessage, v, row);
   }
 
   const std::vector<float>* LookupBroadcast(NodeId key) const {
@@ -615,51 +553,42 @@ class MrInferenceDriver {
   const GraphView& view_;
   const GnnModel& model_;
   const InferTurboOptions& options_;
-  std::int64_t hub_threshold_;
-  /// True when some layer's apply_edge consumes edge features, so the
-  /// out-edge records must ship them between rounds.
-  bool ships_edge_features_ = false;
+  const ScatterPlan& plan_;
   std::mutex map_error_mutex_;
   /// First failure from a map instance (MapFn cannot return Status).
   Status map_error_ = Status::OK();
   /// Live only while RunMap executes; MapStage acquires through it.
   ShardPipeline* pipeline_ = nullptr;
-  PipelineStats pipeline_stats_;
-  JobMetrics metrics_;
-  Tensor embeddings_;
-  std::int64_t failures_recovered_ = 0;
 
   std::mutex broadcast_mutex_;
   std::unordered_map<NodeId, std::vector<float>> broadcast_staging_;
   std::unordered_map<NodeId, std::vector<float>> broadcast_table_;
 };
 
-/// Runs the driver over `view` and packages the raw outputs (no
-/// shadow-node remapping — callers that rewrote the graph trim after).
-Result<InferenceResult> DriveView(const GraphView& view,
-                                  const GnnModel& model,
-                                  const InferTurboOptions& options,
-                                  std::int64_t hub_threshold,
-                                  PipelineStats* pipeline_stats = nullptr) {
-  MrInferenceDriver driver(view, model, options, hub_threshold);
-  Result<Tensor> logits = driver.Run();
-  if (!logits.ok()) {
+/// The MapReduce engine run inside the job frame: map instance p
+/// streams partition p of `view`; returns the raw logits, embeddings and
+/// metrics.
+Result<InferenceResult> RunMapReduceEngine(const GraphView& view,
+                                           const GnnModel& model,
+                                           const InferTurboOptions& options,
+                                           const ScatterPlan& plan,
+                                           PipelineStats* pipeline_stats) {
+  MrInferenceDriver driver(view, model, options, plan);
+  Result<InferenceResult> result = driver.Run(pipeline_stats);
+  if (!result.ok()) {
     // Unrecoverable dataflow failure: freeze the flight ring now, while
     // the retry/restore events leading here are still in it.
-    DumpFlightRecordOnError("mapreduce: " + logits.status().ToString());
-    return logits.status();
-  }
-  Tensor all_logits = std::move(*logits);
-  options.failures_recovered = driver.failures_recovered();
-  InferenceResult result;
-  result.logits = std::move(all_logits);
-  result.embeddings = driver.TakeEmbeddings();
-  result.predictions = ArgmaxRows(result.logits);
-  result.metrics = driver.TakeMetrics();
-  if (pipeline_stats != nullptr) {
-    pipeline_stats->Merge(driver.pipeline_stats());
+    DumpFlightRecordOnError("mapreduce: " + result.status().ToString());
   }
   return result;
+}
+
+Result<InferenceResult> RunMapReduceOnGraph(const Graph& graph,
+                                            const GnnModel& model,
+                                            const InferTurboOptions& options,
+                                            const ScatterPlan& plan) {
+  const InMemoryGraphView view(graph, options.num_workers);
+  return RunMapReduceEngine(view, model, options, plan, nullptr);
 }
 
 }  // namespace
@@ -667,98 +596,14 @@ Result<InferenceResult> DriveView(const GraphView& view,
 Result<InferenceResult> RunInferTurboMapReduce(
     const Graph& graph, const GnnModel& model,
     const InferTurboOptions& options) {
-  if (graph.feature_dim() != model.input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  if (options.num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-
-  const Graph* active = &graph;
-  ShadowGraph shadow;
-  const std::int64_t threshold = options.strategies.HubThreshold(
-      graph.num_edges(), options.num_workers);
-  if (options.strategies.shadow_nodes) {
-    INFERTURBO_ASSIGN_OR_RETURN(shadow, ApplyShadowNodes(graph, threshold));
-    active = &shadow.graph;
-  }
-
-  InMemoryGraphView view(*active, options.num_workers);
-  INFERTURBO_ASSIGN_OR_RETURN(InferenceResult result,
-                              DriveView(view, model, options, threshold));
-
-  if (options.strategies.shadow_nodes) {
-    // Shadow nodes are appended past the original id range: trim their
-    // rows off the outputs.
-    Tensor trimmed(graph.num_nodes(), result.logits.cols());
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      trimmed.SetRow(v, result.logits.RowPtr(v));
-    }
-    result.logits = std::move(trimmed);
-    if (!result.embeddings.empty()) {
-      Tensor emb(graph.num_nodes(), result.embeddings.cols());
-      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-        emb.SetRow(v, result.embeddings.RowPtr(v));
-      }
-      result.embeddings = std::move(emb);
-    }
-    result.predictions = ArgmaxRows(result.logits);
-  }
-  return result;
+  return RunInferenceJob(graph, model, options, &RunMapReduceOnGraph);
 }
 
 Result<InferenceResult> RunInferTurboMapReduce(
     const GraphView& view, const GnnModel& model,
     const InferTurboOptions& options) {
-  // A view that is just a window onto a resident graph gains nothing
-  // from the streaming path; reuse the Graph entry (which also keeps
-  // shadow_nodes free of a materialize round trip).
-  if (const Graph* resident = view.resident_graph()) {
-    return RunInferTurboMapReduce(*resident, model, options);
-  }
-  if (view.feature_dim() != model.input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  if (options.num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-  if (options.num_workers != view.num_partitions()) {
-    return Status::InvalidArgument(
-        "num_workers (" + std::to_string(options.num_workers) +
-        ") must equal the view's partition count (" +
-        std::to_string(view.num_partitions()) +
-        "): the shard partitioning is the worker assignment");
-  }
-  const std::int64_t threshold = options.strategies.HubThreshold(
-      view.num_edges(), options.num_workers);
-  if (options.pin_hub_shards) {
-    // Pin the hub-heavy hot-set before any streaming so it survives
-    // every LRU cycle of the sweep (no-op without a pinned budget).
-    INFERTURBO_RETURN_NOT_OK(view.PinHotSet(threshold).status());
-  }
-  if (options.strategies.shadow_nodes) {
-    // The shadow rewrite restructures topology globally; rebuild the
-    // graph (bounded mapped bytes while building, pipelined so shard
-    // I/O overlaps the rebuild), run the resident path, and still
-    // report the storage work done.
-    PipelineStats stats;
-    INFERTURBO_ASSIGN_OR_RETURN(
-        Graph graph,
-        MaterializeGraph(view, {options.storage_pipeline_slots, &stats}));
-    INFERTURBO_ASSIGN_OR_RETURN(
-        InferenceResult result,
-        RunInferTurboMapReduce(graph, model, options));
-    result.metrics.storage = view.storage_metrics();
-    stats.FoldInto(&result.metrics.storage);
-    return result;
-  }
-  PipelineStats stats;
-  INFERTURBO_ASSIGN_OR_RETURN(
-      InferenceResult result,
-      DriveView(view, model, options, threshold, &stats));
-  result.metrics.storage = view.storage_metrics();
-  stats.FoldInto(&result.metrics.storage);
-  return result;
+  return RunInferenceJob(view, model, options, &RunMapReduceOnGraph,
+                         &RunMapReduceEngine);
 }
 
 }  // namespace inferturbo

@@ -3,7 +3,7 @@
 
 #include "src/common/result.h"
 #include "src/graph/graph.h"
-#include "src/inference/inferturbo_pregel.h"
+#include "src/inference/options.h"
 #include "src/inference/result.h"
 #include "src/nn/model.h"
 

@@ -2,50 +2,23 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
-#include "src/checkpoint/checkpoint_store.h"
 #include "src/common/binary_io.h"
 #include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
 #include "src/gas/superstep_gather.h"
+#include "src/inference/job_frame.h"
 #include "src/pregel/pregel_engine.h"
-#include "src/storage/graph_view.h"
-#include "src/storage/shard_pipeline.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/trace.h"
 #include "src/tensor/kernels/kernels.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/tensor_io.h"
 
 namespace inferturbo {
 namespace {
-
-/// Bit-exact tensor framing for durable checkpoints: shape + raw IEEE
-/// float bytes.
-void PutTensor(BinaryWriter* out, const Tensor& t) {
-  out->PutI64(t.rows());
-  out->PutI64(t.cols());
-  out->PutBytes(t.data(), static_cast<std::size_t>(t.size()) * sizeof(float));
-}
-
-Status GetTensor(BinaryReader* in, Tensor* t) {
-  std::int64_t rows = 0, cols = 0;
-  INFERTURBO_RETURN_NOT_OK(in->GetI64(&rows));
-  INFERTURBO_RETURN_NOT_OK(in->GetI64(&cols));
-  if (rows < 0 || cols < 0 ||
-      (rows > 0 && cols > 0 &&
-       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-               sizeof(float) >
-           in->remaining())) {
-    return Status::IoError("corrupt tensor shape in checkpoint: " +
-                           std::to_string(rows) + "x" + std::to_string(cols));
-  }
-  Tensor loaded(rows, cols);
-  INFERTURBO_RETURN_NOT_OK(in->GetBytes(
-      loaded.data(), static_cast<std::size_t>(loaded.size()) * sizeof(float)));
-  *t = std::move(loaded);
-  return Status::OK();
-}
 
 /// Per-worker resident state: the partition's node ids, their current
 /// embeddings, and scratch for the gather stage.
@@ -61,12 +34,11 @@ class PregelInferenceDriver {
   PregelInferenceDriver(const Graph& graph, const GnnModel& model,
                         const InferTurboOptions& options,
                         const PartitionAssignment& assignment,
-                        std::int64_t hub_threshold)
+                        const ScatterPlan& plan)
       : graph_(graph),
         model_(model),
-        options_(options),
         assignment_(assignment),
-        hub_threshold_(hub_threshold),
+        plan_(plan),
         logits_(graph.num_nodes(), model.num_classes()) {
     if (options.export_embeddings) {
       embeddings_ = Tensor(graph.num_nodes(), model.embedding_dim());
@@ -154,29 +126,9 @@ class PregelInferenceDriver {
   Tensor TakeLogits() { return std::move(logits_); }
   Tensor TakeEmbeddings() { return std::move(embeddings_); }
 
-  /// Checkpoint hooks: the driver's entire mutable state is the
-  /// per-worker embeddings plus the result buffer.
-  struct Snapshot {
-    std::vector<WorkerState> workers;
-    Tensor logits;
-    Tensor embeddings;
-  };
-  std::shared_ptr<const void> SnapshotState() const {
-    auto snap = std::make_shared<Snapshot>();
-    snap->workers = workers_;
-    snap->logits = logits_;
-    snap->embeddings = embeddings_;
-    return snap;
-  }
-  void RestoreState(const std::shared_ptr<const void>& state) {
-    const auto* snap = static_cast<const Snapshot*>(state.get());
-    workers_ = snap->workers;
-    logits_ = snap->logits;
-    embeddings_ = snap->embeddings;
-  }
-
-  /// Durable variants of the hooks above: the same mutable state,
-  /// serialized bit-exactly for the checkpoint store.
+  /// Checkpoint hooks: the driver's entire mutable state — per-worker
+  /// embeddings plus the result buffer — serialized bit-exactly. The
+  /// in-memory snapshots and the durable checkpoint store share it.
   std::string SerializeState() const {
     BinaryWriter out;
     out.PutI64(static_cast<std::int64_t>(workers_.size()));
@@ -210,11 +162,6 @@ class PregelInferenceDriver {
   }
 
  private:
-  /// Local index of a global node id owned by this worker.
-  std::int64_t LocalIndex(NodeId v) const {
-    return assignment_.local_index[static_cast<std::size_t>(v)];
-  }
-
   /// gather_nbrs + aggregate: vectorize the inbox into a GatherResult
   /// in this worker's local index space via the shared kernel-backed
   /// data plane (bucket into dst-segmented flat arrays, then segment-
@@ -238,38 +185,49 @@ class PregelInferenceDriver {
   /// apply_edge + scatter_nbrs for `layer_index`, from the worker's
   /// freshly-computed states (passed explicitly — under the
   /// deferred-commit contract they are attempt-local, not yet published
-  /// to WorkerState). Routes per strategy:
-  ///   - hubs (out-degree > threshold, broadcast on, broadcastable
-  ///     messages): one payload on the board + id-only rows per edge;
-  ///   - lawful aggregates with partial-gather on: fold into per-worker
-  ///     accumulators, send one partial row per (worker, destination);
+  /// to WorkerState). Routes per the job's scatter plan:
+  ///   - hubs: one payload on the board + id-only rows per edge;
+  ///   - partial-gather layers: fold into per-worker accumulators, send
+  ///     one partial row per (worker, destination);
   ///   - otherwise: one dense row per out-edge.
+  /// An edge-featured layer's out-edges each carry their own merged row
+  /// (ExpandEdgeMessages); every other layer's carry the node's row.
   void ScatterLayer(PregelContext* ctx, const std::vector<NodeId>& nodes,
                     const Tensor& states, std::int64_t layer_index) const {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
+    const ScatterPlan::Layer& route = plan_.layer(layer_index);
     const Tensor messages = layer.ComputeMessage(states);
-    const std::int64_t msg_dim = sig.message_dim;
     const std::int64_t num_workers = ctx->num_workers();
 
-    const bool use_partial = options_.strategies.partial_gather &&
-                             sig.partial_gather &&
-                             PartialGatherReduces(sig.agg_kind);
-    const bool use_broadcast = options_.strategies.broadcast &&
-                               sig.broadcastable_messages &&
-                               hub_threshold_ > 0;
-
-    if (sig.uses_edge_features) {
-      ScatterWithEdgeFeatures(ctx, nodes, layer, messages, use_partial);
-      return;
+    Tensor edge_rows;
+    if (route.edge_features) {
+      INFERTURBO_CHECK(graph_.has_edge_features())
+          << "layer " << sig.layer_type
+          << " needs edge features the graph does not have";
+      std::vector<std::int64_t> degrees;
+      std::vector<std::int64_t> edge_ids;
+      for (NodeId v : nodes) {
+        const std::span<const EdgeId> out = graph_.OutEdges(v);
+        degrees.push_back(static_cast<std::int64_t>(out.size()));
+        edge_ids.insert(edge_ids.end(), out.begin(), out.end());
+      }
+      edge_rows = ExpandEdgeMessages(
+          layer, messages, degrees,
+          kernels::GatherRows(graph_.edge_features(), edge_ids));
     }
+    // The rows out-edges carry, and how far an edge's row index moves
+    // past its predecessor's: 0 for a node's row, 1 for per-edge rows.
+    const Tensor& rows = route.edge_features ? edge_rows : messages;
+    const std::int64_t row_step = route.edge_features ? 1 : 0;
+    const std::int64_t msg_dim = sig.message_dim;
 
     // Partial path: per destination worker, the edges' destination ids
-    // and the message-row index each edge carries, collected in (node,
-    // edge) order; batched into the accumulators below.
+    // and the row index each edge carries, collected in (node, edge)
+    // order; batched into the accumulators below.
     std::vector<std::vector<NodeId>> part_dst;
     std::vector<std::vector<std::int64_t>> part_row;
-    if (use_partial) {
+    if (route.partial_gather) {
       part_dst.resize(static_cast<std::size_t>(num_workers));
       part_row.resize(static_cast<std::size_t>(num_workers));
     }
@@ -282,11 +240,10 @@ class PregelInferenceDriver {
     std::int64_t dense_rows = 0;
     std::vector<bool> is_hub(nodes.size(), false);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const NodeId v = nodes[i];
-      const std::int64_t out_degree = graph_.OutDegree(v);
-      if (use_broadcast && out_degree > hub_threshold_) {
+      const std::int64_t out_degree = graph_.OutDegree(nodes[i]);
+      if (plan_.IsHub(layer_index, out_degree)) {
         is_hub[i] = true;
-      } else if (!use_partial) {
+      } else if (!route.partial_gather) {
         dense_rows += out_degree;
       }
     }
@@ -296,37 +253,43 @@ class PregelInferenceDriver {
     }
 
     std::int64_t dense_cursor = 0;
+    std::int64_t edge_cursor = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
-      const float* row = messages.RowPtr(static_cast<std::int64_t>(i));
+      const std::span<const EdgeId> out = graph_.OutEdges(v);
+      std::int64_t r = route.edge_features ? edge_cursor
+                                           : static_cast<std::int64_t>(i);
+      edge_cursor += static_cast<std::int64_t>(out.size());
       if (is_hub[i]) {
-        ctx->PublishBroadcast(v, row, msg_dim);
-        for (EdgeId e : graph_.OutEdges(v)) {
+        ctx->PublishBroadcast(v, rows.RowPtr(r), msg_dim);
+        for (EdgeId e : out) {
           refs.dst.push_back(graph_.EdgeDst(e));
           refs.src.push_back(v);
         }
         continue;
       }
-      if (use_partial) {
-        for (EdgeId e : graph_.OutEdges(v)) {
+      if (route.partial_gather) {
+        for (EdgeId e : out) {
           const NodeId d = graph_.EdgeDst(e);
           const auto pw = static_cast<std::size_t>(
               engine_partitioner_->PartitionOf(d));
           part_dst[pw].push_back(d);
-          part_row[pw].push_back(static_cast<std::int64_t>(i));
+          part_row[pw].push_back(r);
+          r += row_step;
         }
       } else {
-        for (EdgeId e : graph_.OutEdges(v)) {
+        for (EdgeId e : out) {
           dense.dst.push_back(graph_.EdgeDst(e));
           dense.src.push_back(v);
-          dense.payload.SetRow(dense_cursor++, row);
+          dense.payload.SetRow(dense_cursor++, rows.RowPtr(r));
+          r += row_step;
         }
       }
     }
 
     if (!dense.empty()) ctx->SendBatch(std::move(dense));
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
-    if (use_partial) {
+    if (route.partial_gather) {
       // Sender-side combine, one accumulator per destination worker:
       // materialize each worker's per-edge rows with one batched row
       // gather, then fold the whole batch through the SIMD combine —
@@ -337,8 +300,8 @@ class PregelInferenceDriver {
         auto& dst_ids = part_dst[static_cast<std::size_t>(w)];
         if (dst_ids.empty()) continue;
         MessageBatch carrier;
-        carrier.payload = kernels::GatherRows(
-            messages, part_row[static_cast<std::size_t>(w)]);
+        carrier.payload =
+            kernels::GatherRows(rows, part_row[static_cast<std::size_t>(w)]);
         carrier.src.assign(dst_ids.size(), ctx->worker_id());
         carrier.dst = std::move(dst_ids);
         acc.Reset(sig.agg_kind, msg_dim);
@@ -346,63 +309,6 @@ class PregelInferenceDriver {
         ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
       }
     }
-  }
-
-  /// Scatter for layers whose apply_edge consumes edge features: the
-  /// per-edge rows genuinely differ, so they are materialized (in one
-  /// batched ApplyEdge call), then either folded into partial
-  /// accumulators or sent dense. Broadcast never applies here — the
-  /// messages are not identical across out-edges.
-  void ScatterWithEdgeFeatures(PregelContext* ctx,
-                               const std::vector<NodeId>& nodes,
-                               const GasConv& layer, const Tensor& messages,
-                               bool use_partial) const {
-    INFERTURBO_CHECK(graph_.has_edge_features())
-        << "layer " << layer.signature().layer_type
-        << " needs edge features the graph does not have";
-    std::int64_t total = 0;
-    for (NodeId v : nodes) total += graph_.OutDegree(v);
-    Tensor base_rows(total, messages.cols());
-    Tensor edge_feats(total, graph_.edge_features().cols());
-    std::vector<NodeId> dst(static_cast<std::size_t>(total));
-    std::vector<NodeId> src(static_cast<std::size_t>(total));
-    std::int64_t cursor = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const NodeId v = nodes[i];
-      const float* row = messages.RowPtr(static_cast<std::int64_t>(i));
-      for (EdgeId e : graph_.OutEdges(v)) {
-        base_rows.SetRow(cursor, row);
-        edge_feats.SetRow(cursor, graph_.edge_features().RowPtr(e));
-        dst[static_cast<std::size_t>(cursor)] = graph_.EdgeDst(e);
-        src[static_cast<std::size_t>(cursor)] = v;
-        ++cursor;
-      }
-    }
-    Tensor final_rows = layer.ApplyEdge(base_rows, &edge_feats);
-
-    MessageBatch batch;
-    batch.dst = std::move(dst);
-    batch.src = std::move(src);
-    batch.payload = std::move(final_rows);
-    if (use_partial) {
-      // Route once (low-copy), then fold each destination worker's
-      // slice through the SIMD batch combine. Slices preserve row
-      // order, so first-seen destination order — and the partial
-      // batch's wire bytes — match the old per-row Add loop.
-      const std::int64_t width = batch.payload.cols();
-      std::vector<MessageBatch> slices = SplitByWorker(
-          std::move(batch), *engine_partitioner_, ctx->num_workers());
-      PooledAccumulator acc(layer.signature().agg_kind, width);
-      for (std::int64_t w = 0; w < ctx->num_workers(); ++w) {
-        const MessageBatch& slice = slices[static_cast<std::size_t>(w)];
-        if (slice.empty()) continue;
-        acc.Reset(layer.signature().agg_kind, width);
-        acc.AddBatch(slice, /*partial=*/false);
-        ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
-      }
-      return;
-    }
-    ctx->SendBatch(std::move(batch));
   }
 
  public:
@@ -413,43 +319,24 @@ class PregelInferenceDriver {
  private:
   const Graph& graph_;
   const GnnModel& model_;
-  const InferTurboOptions& options_;
   const PartitionAssignment& assignment_;
-  std::int64_t hub_threshold_;
+  const ScatterPlan& plan_;
   Tensor logits_;
   Tensor embeddings_;
   std::vector<WorkerState> workers_;
 };
 
-}  // namespace
-
-Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
-                                            const GnnModel& model,
-                                            const InferTurboOptions& options) {
-  if (graph.feature_dim() != model.input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  if (options.num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-
-  // Shadow-nodes preprocessing rewrites the graph; everything below
-  // runs on the (possibly augmented) graph.
-  const Graph* active = &graph;
-  ShadowGraph shadow;
-  const std::int64_t threshold = options.strategies.HubThreshold(
-      graph.num_edges(), options.num_workers);
-  if (options.strategies.shadow_nodes) {
-    INFERTURBO_ASSIGN_OR_RETURN(shadow, ApplyShadowNodes(graph, threshold));
-    active = &shadow.graph;
-  }
-
+/// The Pregel engine run inside the job frame: partition, drive the
+/// supersteps, return the raw logits, embeddings and metrics.
+Result<InferenceResult> RunPregelEngine(const Graph& graph,
+                                        const GnnModel& model,
+                                        const InferTurboOptions& options,
+                                        const ScatterPlan& plan) {
   HashPartitioner partitioner(options.num_workers);
   const PartitionAssignment assignment =
-      AssignPartitions(active->num_nodes(), partitioner);
+      AssignPartitions(graph.num_nodes(), partitioner);
 
-  PregelInferenceDriver driver(*active, model, options, assignment,
-                               threshold);
+  PregelInferenceDriver driver(graph, model, options, assignment, plan);
 
   PregelEngine::Options engine_options;
   engine_options.num_workers = options.num_workers;
@@ -463,19 +350,11 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
   // Durable mode implies checkpointing, so an unset interval means
   // "every superstep".
   std::optional<CheckpointStore> store;
-  if (!options.checkpoint_directory.empty()) {
+  INFERTURBO_RETURN_NOT_OK(OpenCheckpointStore(options, &store));
+  if (store) {
     if (engine_options.checkpoint_interval <= 0) {
       engine_options.checkpoint_interval = 1;
     }
-    CheckpointStoreOptions store_options;
-    store_options.directory = options.checkpoint_directory;
-    store_options.keep_last = options.checkpoint_keep_last;
-    store_options.fault_injector = options.io_fault_injector;
-    store_options.retry = options.io_retry;
-    Result<CheckpointStore> opened =
-        CheckpointStore::Open(std::move(store_options));
-    if (!opened.ok()) return opened.status();
-    store.emplace(std::move(opened).ValueOrDie());
     engine_options.checkpoint_store = &*store;
     engine_options.serialize_driver = [&driver] {
       return driver.SerializeState();
@@ -488,24 +367,21 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
   }
   if (engine_options.checkpoint_interval > 0) {
     engine_options.snapshot_state = [&driver] {
-      return driver.SnapshotState();
+      return std::make_shared<const std::string>(driver.SerializeState());
     };
     engine_options.restore_state =
         [&driver](const std::shared_ptr<const void>& state) {
-          driver.RestoreState(state);
+          const Status restored = driver.DeserializeState(
+              *static_cast<const std::string*>(state.get()));
+          INFERTURBO_CHECK(restored.ok()) << restored.ToString();
         };
   }
-  // Task supervision: deadlines, retry, speculation, quarantine around
-  // every superstep compute task. The driver's deferred-commit Compute
-  // makes duplicate attempts and superstep re-execution safe.
-  std::optional<TaskSupervisor> supervisor;
-  if (options.supervise_tasks || options.fault_plan != nullptr) {
-    TaskSupervisionOptions supervision = options.supervision;
-    supervision.pool = options.pool;
-    supervision.fault_plan = options.fault_plan;
-    supervisor.emplace(supervision);
-    engine_options.supervisor = &*supervisor;
-  }
+  // Task supervision around every superstep compute task. The driver's
+  // deferred-commit Compute makes duplicate attempts and superstep
+  // re-execution safe.
+  const std::unique_ptr<TaskSupervisor> supervisor =
+      MakeTaskSupervisor(options);
+  engine_options.supervisor = supervisor.get();
 
   PregelEngine engine(engine_options, partitioner);
   driver.engine_partitioner_ = &engine.partitioner();
@@ -518,59 +394,29 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
     DumpFlightRecordOnError("pregel: " + run.status().ToString());
     return run.status();
   }
-  JobMetrics metrics = std::move(*run);
   options.failures_recovered = engine.failures_recovered();
 
   InferenceResult result;
-  Tensor all_logits = driver.TakeLogits();
-  Tensor all_embeddings = driver.TakeEmbeddings();
-  if (options.strategies.shadow_nodes) {
-    // Keep the original id range; mirror rows are duplicates by
-    // construction.
-    result.logits = Tensor(graph.num_nodes(), all_logits.cols());
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      result.logits.SetRow(v, all_logits.RowPtr(v));
-    }
-    if (!all_embeddings.empty()) {
-      result.embeddings = Tensor(graph.num_nodes(), all_embeddings.cols());
-      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-        result.embeddings.SetRow(v, all_embeddings.RowPtr(v));
-      }
-    }
-  } else {
-    result.logits = std::move(all_logits);
-    result.embeddings = std::move(all_embeddings);
-  }
-  result.predictions = ArgmaxRows(result.logits);
-  result.metrics = std::move(metrics);
+  result.logits = driver.TakeLogits();
+  result.embeddings = driver.TakeEmbeddings();
+  result.metrics = std::move(*run);
   return result;
 }
 
+}  // namespace
+
+Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
+                                            const GnnModel& model,
+                                            const InferTurboOptions& options) {
+  return RunInferenceJob(graph, model, options, &RunPregelEngine);
+}
+
+// Pregel holds all node state resident anyway, so an out-of-core view
+// is materialized and run on the exact original structure.
 Result<InferenceResult> RunInferTurboPregel(const GraphView& view,
                                             const GnnModel& model,
                                             const InferTurboOptions& options) {
-  if (const Graph* resident = view.resident_graph()) {
-    return RunInferTurboPregel(*resident, model, options);
-  }
-  // Out-of-core view: Pregel holds all node state resident anyway, so
-  // rebuild the graph and run the resident path on the exact original
-  // structure. The rebuild streams through the shard pipeline — I/O
-  // for partition p+1 overlaps reconstruction of partition p — after
-  // optionally pinning the hub hot-set.
-  if (options.pin_hub_shards) {
-    const std::int64_t threshold = options.strategies.HubThreshold(
-        view.num_edges(), options.num_workers);
-    INFERTURBO_RETURN_NOT_OK(view.PinHotSet(threshold).status());
-  }
-  PipelineStats stats;
-  INFERTURBO_ASSIGN_OR_RETURN(
-      Graph graph,
-      MaterializeGraph(view, {options.storage_pipeline_slots, &stats}));
-  INFERTURBO_ASSIGN_OR_RETURN(InferenceResult result,
-                              RunInferTurboPregel(graph, model, options));
-  result.metrics.storage = view.storage_metrics();
-  stats.FoldInto(&result.metrics.storage);
-  return result;
+  return RunInferenceJob(view, model, options, &RunPregelEngine);
 }
 
 }  // namespace inferturbo

@@ -9,6 +9,7 @@
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
+#include "src/tensor/tensor_io.h"
 
 namespace inferturbo {
 
@@ -75,28 +76,13 @@ namespace {
 void EncodeBatch(const MessageBatch& batch, BinaryWriter* out) {
   out->PutI64s(batch.dst);
   out->PutI64s(batch.src);
-  out->PutI64(batch.payload.rows());
-  out->PutI64(batch.payload.cols());
-  out->PutBytes(batch.payload.data(),
-                static_cast<std::size_t>(batch.payload.size()) *
-                    sizeof(float));
+  PutTensor(out, batch.payload);
 }
 
 Status DecodeBatch(BinaryReader* in, MessageBatch* batch) {
   INFERTURBO_RETURN_NOT_OK(in->GetI64s(&batch->dst));
   INFERTURBO_RETURN_NOT_OK(in->GetI64s(&batch->src));
-  std::int64_t rows = 0, cols = 0;
-  INFERTURBO_RETURN_NOT_OK(in->GetI64(&rows));
-  INFERTURBO_RETURN_NOT_OK(in->GetI64(&cols));
-  if (rows < 0 || cols < 0 ||
-      static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-              sizeof(float) >
-          in->remaining()) {
-    return Status::IoError("corrupt message batch shape in checkpoint");
-  }
-  batch->payload = Tensor(rows, cols);
-  return in->GetBytes(batch->payload.data(),
-                      static_cast<std::size_t>(rows * cols) * sizeof(float));
+  return GetTensor(in, &batch->payload);
 }
 
 }  // namespace
