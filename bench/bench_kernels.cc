@@ -34,7 +34,7 @@
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/reference.h"
+#include "tests/oracles/reference.h"
 
 namespace inferturbo {
 namespace {

@@ -35,6 +35,7 @@
 #include "src/telemetry/perf_counters.h"
 #include "src/gas/message.h"
 #include "src/gas/superstep_gather.h"
+#include "tests/oracles/superstep_gather_scalar.h"
 #include "src/graph/partition.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"

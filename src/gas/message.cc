@@ -246,9 +246,9 @@ void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
 }
 
 // PooledAccumulator::Add / ::AddPartial — the retained per-row scalar
-// folds — live in message_scalar.cc, a TU pinned against
-// autovectorization, because they double as the oracle bench_superstep
-// measures the batch path against.
+// folds — live in the test/bench-only oracle target
+// (tests/oracles/message_scalar.cc), pinned against autovectorization,
+// because they are the oracle AddBatch and bench_superstep are held to.
 
 MessageBatch PooledAccumulator::ToPartialBatch(NodeId from) const {
   MessageBatch batch;

@@ -91,7 +91,9 @@ class PooledAccumulator {
   /// constructing a fresh one in the hot loop.
   void Reset(AggKind kind, std::int64_t width);
 
-  /// Folds one message row for `dst` (count 1).
+  /// Folds one message row for `dst` (count 1). Add and AddPartial are
+  /// the scalar oracle AddBatch is held to; they are defined in the
+  /// test/bench-only oracle target (tests/oracles), not the library.
   void Add(NodeId dst, const float* row);
   /// Folds a partial aggregate row for `dst` carrying `count` original
   /// messages.

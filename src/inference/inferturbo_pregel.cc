@@ -167,7 +167,7 @@ class PregelInferenceDriver {
   /// data plane (bucket into dst-segmented flat arrays, then segment-
   /// reduce). Id-only rows (broadcast references) are resolved against
   /// the board during bucketing. Bit-identical to the retained scalar
-  /// oracle (GatherSuperstepInboxScalar) at any thread count.
+  /// oracle (tests/oracles) at any thread count.
   GatherResult GatherInbox(PregelContext* ctx, const WorkerState& worker,
                            const GasConv& layer) const {
     const std::int64_t local_n =

@@ -12,7 +12,6 @@
 #include "src/telemetry/perf_counters.h"
 #include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/matmul_tiles.h"
-#include "src/tensor/kernels/reference.h"
 #include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
@@ -174,6 +173,26 @@ void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
 // MatMulTransposedA costs more in allocation than it saves.
 constexpr std::int64_t kTransposeAMinMulAdds = 1 << 15;
 
+// The small-size MatMulTransposedA: the reference's k-i-j loop with
+// skip-on-zero over A entries. Each output element accumulates in
+// ascending k, so vectorizing the j loop keeps it bit-identical to the
+// scalar oracle.
+Tensor SmallMatMulTransposedA(const Tensor& a, const Tensor& b) {
+  Tensor c(a.cols(), b.cols());
+  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* ak = a.RowPtr(kk);
+    const float* bk = b.RowPtr(kk);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float aki = ak[i];
+      if (aki == 0.0f) continue;
+      float* ci = c.RowPtr(i);
+      for (std::int64_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
+    }
+  }
+  return c;
+}
+
 // Cache-blocked out-of-place transpose: (rows×cols) -> (cols×rows).
 void TransposeInto(const float* __restrict__ src, std::int64_t rows,
                    std::int64_t cols, float* __restrict__ dst) {
@@ -230,7 +249,7 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
   if (m * k * n < kTransposeAMinMulAdds && !UsingFastMath()) {
-    return reference::MatMulTransposedA(a, b);
+    return SmallMatMulTransposedA(a, b);
   }
   // A^T·B = MatMul over a transposed copy of A. The tiled kernel skips
   // the same zero entries in the same ascending-k order the reference's

@@ -12,7 +12,7 @@ namespace inferturbo {
 // The dense hot paths (matmuls, gather/scatter) validate shapes here
 // and run on the fast kernel layer; kernels_test pins the kernels
 // bit-identical to the retained scalar references in
-// src/tensor/kernels/reference.cc.
+// tests/oracles/reference.cc.
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   INFERTURBO_CHECK(a.cols() == b.rows())

@@ -19,7 +19,7 @@
 #include "src/nn/model.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/reference.h"
+#include "tests/oracles/reference.h"
 
 namespace inferturbo {
 namespace {

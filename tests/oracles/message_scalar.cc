@@ -3,7 +3,7 @@
 // loop per message. AddBatch is bit-identical to calling these per row
 // — the randomized equivalence suite holds it to that — and
 // bench_superstep reports the batch path's speedup against this one,
-// so like the other scalar oracles (kernels/reference.cc,
+// so like the other scalar oracles (reference.cc,
 // superstep_gather_scalar.cc) this TU is compiled with
 // autovectorization disabled: the baseline means the same thing at
 // every optimization level.

@@ -1,4 +1,4 @@
-#include "src/tensor/kernels/reference.h"
+#include "tests/oracles/reference.h"
 
 #include <cstring>
 #include <limits>

@@ -1,5 +1,5 @@
-#ifndef INFERTURBO_TENSOR_KERNELS_REFERENCE_H_
-#define INFERTURBO_TENSOR_KERNELS_REFERENCE_H_
+#ifndef INFERTURBO_TESTS_ORACLES_REFERENCE_H_
+#define INFERTURBO_TESTS_ORACLES_REFERENCE_H_
 
 #include <cstdint>
 #include <span>
@@ -49,4 +49,4 @@ void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
 }  // namespace kernels
 }  // namespace inferturbo
 
-#endif  // INFERTURBO_TENSOR_KERNELS_REFERENCE_H_
+#endif  // INFERTURBO_TESTS_ORACLES_REFERENCE_H_

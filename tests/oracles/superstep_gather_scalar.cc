@@ -3,14 +3,14 @@
 // message row at a time, a scalar switch per row, std::max/std::min
 // folds, then a serial finalize. The equivalence suite checks the fast
 // path against it and bench_superstep reports speedups relative to it,
-// so — like src/tensor/kernels/reference.cc — this TU is pinned to
-// genuinely scalar code via per-file compile options (see
-// src/CMakeLists.txt). Do not "optimize" it.
+// so — like reference.cc — this TU is pinned to genuinely scalar code
+// via per-file compile options (see tests/oracles/CMakeLists.txt). Do
+// not "optimize" it.
 #include <algorithm>
 #include <limits>
 
 #include "src/common/logging.h"
-#include "src/gas/superstep_gather.h"
+#include "tests/oracles/superstep_gather_scalar.h"
 
 namespace inferturbo {
 

@@ -21,7 +21,7 @@
 #include "src/common/thread_pool.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/reference.h"
+#include "tests/oracles/reference.h"
 
 namespace inferturbo {
 namespace {

@@ -18,7 +18,8 @@
 #include "src/gas/message.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/reference.h"
+#include "tests/oracles/reference.h"
+#include "tests/oracles/superstep_gather_scalar.h"
 
 namespace inferturbo {
 namespace {
