@@ -361,8 +361,8 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   if (!metrics_out.empty()) {
     RunReportOptions report;
     report.backend = backend;
-    for (const std::string& key : flags.Keys()) {
-      report.config[key] = flags.GetString(key, "");
+    for (const auto& [key, value] : flags.values()) {
+      report.config[key] = value;
     }
     const Status status =
         WriteRunReport(metrics_out, result->metrics, report);
@@ -594,8 +594,8 @@ int Serve(const FlagParser& flags, const std::string& dir) {
     RunReportOptions report;
     report.backend = "serving";
     report.serving = &serving;
-    for (const std::string& key : flags.Keys()) {
-      report.config[key] = flags.GetString(key, "");
+    for (const auto& [key, value] : flags.values()) {
+      report.config[key] = value;
     }
     const Status status = WriteRunReport(metrics_out, JobMetrics{}, report);
     if (!status.ok()) {
@@ -676,7 +676,7 @@ int Main(int argc, const char* const argv[]) {
   const std::string dir = flags->GetString("dir", "/tmp/inferturbo_cli");
   std::filesystem::create_directories(dir);
   const std::string mode = flags->GetString("mode", "");
-  const int rc = [&]() -> int {
+  int rc = [&]() -> int {
     if (mode == "generate") return Generate(*flags, dir);
     if (mode == "train") return Train(*flags, dir);
     if (mode == "infer") return Infer(*flags, dir);
@@ -694,6 +694,16 @@ int Main(int argc, const char* const argv[]) {
     if (const int rc = Train(*flags, dir); rc != 0) return rc;
     return Infer(*flags, dir);
   }();
+  // A flag the chosen mode never read is misspelled or retired: fail
+  // loudly instead of having silently run on defaults.
+  if (const std::vector<std::string> unread = flags->UnreadKeys();
+      rc == 0 && !unread.empty()) {
+    for (const std::string& key : unread) {
+      std::fprintf(stderr, "unknown flag --%s for --mode=%s\n", key.c_str(),
+                   mode.empty() ? "demo" : mode.c_str());
+    }
+    rc = 2;
+  }
   if (rc != 0 &&
       DumpFlightRecordOnError("cli exit code " + std::to_string(rc))) {
     std::fprintf(stderr, "flight record -> %s\n", flight_out.c_str());

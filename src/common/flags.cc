@@ -30,36 +30,41 @@ Result<FlagParser> FlagParser::Parse(int argc, const char* const argv[]) {
   return parser;
 }
 
+const std::string* FlagParser::Find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t FlagParser::GetInt(const std::string& key,
                                 std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback
+                          : std::strtoll(value->c_str(), nullptr, 10);
 }
 
 double FlagParser::GetDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback : std::strtod(value->c_str(), nullptr);
 }
 
 bool FlagParser::GetBool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
 Result<std::uint64_t> FlagParser::GetBytes(const std::string& key,
                                            std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  Result<std::uint64_t> parsed = ParseByteSize(it->second);
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
+  Result<std::uint64_t> parsed = ParseByteSize(*value);
   if (!parsed.ok()) {
     return Status::InvalidArgument("--" + key + ": " +
                                    parsed.status().message());
@@ -67,10 +72,11 @@ Result<std::uint64_t> FlagParser::GetBytes(const std::string& key,
   return parsed;
 }
 
-std::vector<std::string> FlagParser::Keys() const {
+std::vector<std::string> FlagParser::UnreadKeys() const {
   std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [key, value] : values_) keys.push_back(key);
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) keys.push_back(key);
+  }
   return keys;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,16 +13,17 @@ namespace inferturbo {
 
 /// A minimal `--key=value` / `--key value` command-line parser for the
 /// example binaries and tools. No registry, no globals: parse argv,
-/// then pull typed values with defaults.
+/// then pull typed values with defaults. The parser remembers which keys
+/// its getters were asked for, so a program can reject the flags it
+/// never read (misspelled or retired ones) instead of silently running
+/// defaults. Not thread-safe: read flags from one thread.
 class FlagParser {
  public:
   /// Parses argv; returns InvalidArgument on malformed input
   /// (non-flag tokens, dangling `--key` without value).
   static Result<FlagParser> Parse(int argc, const char* const argv[]);
 
-  bool Has(const std::string& key) const {
-    return values_.count(key) > 0;
-  }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
@@ -36,11 +38,22 @@ class FlagParser {
   Result<std::uint64_t> GetBytes(const std::string& key,
                                  std::uint64_t fallback) const;
 
-  /// Keys seen on the command line, for unknown-flag validation.
-  std::vector<std::string> Keys() const;
+  /// Every flag on the command line with its raw value. Reading them
+  /// here does not count as reading the flags.
+  const std::map<std::string, std::string>& values() const {
+    return values_;
+  }
+  /// Keys on the command line that neither a getter nor Has() has asked
+  /// for, in key order: once a program has read its options, the flags
+  /// it does not know.
+  std::vector<std::string> UnreadKeys() const;
 
  private:
+  /// The raw value of `key`, or null; records the key as read.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace inferturbo

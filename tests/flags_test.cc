@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/common/byte_size.h"
 #include "src/runtime/fault_plan.h"
 
@@ -63,9 +67,22 @@ TEST(FlagParserTest, RejectsBareDoubleDash) {
   EXPECT_FALSE(FlagParser::Parse(2, argv).ok());
 }
 
-TEST(FlagParserTest, KeysListsEverything) {
+TEST(FlagParserTest, ValuesListEverythingWithoutReadingIt) {
   const FlagParser flags = MustParse({"--b=2", "--a=1"});
-  EXPECT_EQ(flags.Keys(), (std::vector<std::string>{"a", "b"}));
+  const std::map<std::string, std::string> want = {{"a", "1"}, {"b", "2"}};
+  EXPECT_EQ(flags.values(), want);
+  EXPECT_EQ(flags.UnreadKeys(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(FlagParserTest, UnreadKeysAreTheFlagsNoGetterAskedFor) {
+  const FlagParser flags =
+      MustParse({"--mode=infer", "--workers=4", "--bogus_flag=7", "--v"});
+  EXPECT_EQ(flags.GetString("mode", ""), "infer");
+  EXPECT_EQ(flags.GetInt("workers", 1), 4);
+  EXPECT_TRUE(flags.Has("v"));
+  // Asking for an absent key reads nothing that was given.
+  EXPECT_FALSE(flags.GetBool("resume", false));
+  EXPECT_EQ(flags.UnreadKeys(), (std::vector<std::string>{"bogus_flag"}));
 }
 
 std::uint64_t MustParseBytes(std::string_view text) {
