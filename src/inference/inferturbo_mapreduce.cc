@@ -334,9 +334,7 @@ class MrInferenceDriver {
   /// One GNN layer over every key group of one reducer, as a batch:
   /// group g's messages fold into segment g of one BucketedInbox, then
   /// one ApplyNode and one ComputeMessage (or PredictLogits) call run
-  /// over all groups. Each group emits self state, out-edges, then its
-  /// messages, so the next round's arrival order — and with it every
-  /// fold order — does not depend on how many groups share a batch.
+  /// over all groups, and EmitLayerInputs re-emits the batch.
   void ReduceLayer(std::int64_t layer_index, const MrKeyGroups& input,
                    MrEmitter* emitter) {
     const std::size_t groups = input.num_groups();
@@ -454,13 +452,14 @@ class MrInferenceDriver {
     EmitLayerInputs(layer_index + 1, keys, new_state, adjacency, emitter);
   }
 
-  /// Emits what reduce round `layer_index` needs from these nodes: per
-  /// node its state, its out-edges, then its messages along them — the
-  /// merged per-edge rows for edge-featured layers, broadcast refs for
-  /// hubs, dense rows otherwise (map-side partial aggregation is the
-  /// engine combiner's job). Node by node, so the next round's arrival
-  /// order — and with it every fold order — does not depend on how many
-  /// nodes share a batch.
+  /// Emits what reduce round `layer_index` needs from these nodes: every
+  /// node's state and out-edges, then each node's messages along its
+  /// out-edges — the merged per-edge rows for edge-featured layers,
+  /// broadcast refs for hubs, dense rows otherwise (map-side partial
+  /// aggregation is the engine combiner's job). Messages go out node by
+  /// node, so a destination's arrival order — and with it every fold
+  /// order — does not depend on how many nodes share a batch; the state
+  /// records come first so the shuffle reads their payloads in runs.
   void EmitLayerInputs(std::int64_t layer_index, std::span<const NodeId> keys,
                        const Tensor& states,
                        std::span<const OutEdges> adjacency,
@@ -489,13 +488,17 @@ class MrInferenceDriver {
             edges * static_cast<std::size_t>(
                         std::max(messages.cols(), edge_rows.cols())),
         2 * edges);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      emitter->Emit(keys[i], kSelfState, /*src=*/-1,
+                    RowSpan(states, static_cast<std::int64_t>(i)));
+      emitter->Emit(keys[i], kOutEdges, /*src=*/-1, adjacency[i].feats,
+                    adjacency[i].dst);
+    }
     std::int64_t edge_row = 0;
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const NodeId v = keys[i];
       const auto r = static_cast<std::int64_t>(i);
       const OutEdges& out = adjacency[i];
-      emitter->Emit(v, kSelfState, /*src=*/-1, RowSpan(states, r));
-      emitter->Emit(v, kOutEdges, /*src=*/-1, out.feats, out.dst);
       if (plan_.layer(layer_index).edge_features) {
         for (const NodeId d : out.dst) {
           emitter->Emit(d, kInMessage, v, RowSpan(edge_rows, edge_row++));
@@ -568,11 +571,10 @@ class MrInferenceDriver {
 /// The MapReduce engine run inside the job frame: map instance p
 /// streams partition p of `view`; returns the raw logits, embeddings and
 /// metrics.
-Result<InferenceResult> RunMapReduceEngine(const GraphView& view,
-                                           const GnnModel& model,
-                                           const InferTurboOptions& options,
-                                           const ScatterPlan& plan,
-                                           PipelineStats* pipeline_stats) {
+Result<InferenceResult> RunMapReduceEngine(
+    const GraphView& view, const GnnModel& model,
+    const InferTurboOptions& options, const ScatterPlan& plan,
+    PipelineStats* pipeline_stats) {
   MrInferenceDriver driver(view, model, options, plan);
   Result<InferenceResult> result = driver.Run(pipeline_stats);
   if (!result.ok()) {
@@ -583,10 +585,9 @@ Result<InferenceResult> RunMapReduceEngine(const GraphView& view,
   return result;
 }
 
-Result<InferenceResult> RunMapReduceOnGraph(const Graph& graph,
-                                            const GnnModel& model,
-                                            const InferTurboOptions& options,
-                                            const ScatterPlan& plan) {
+Result<InferenceResult> RunMapReduceOnGraph(
+    const Graph& graph, const GnnModel& model,
+    const InferTurboOptions& options, const ScatterPlan& plan) {
   const InMemoryGraphView view(graph, options.num_workers);
   return RunMapReduceEngine(view, model, options, plan, nullptr);
 }

@@ -328,10 +328,9 @@ class PregelInferenceDriver {
 
 /// The Pregel engine run inside the job frame: partition, drive the
 /// supersteps, return the raw logits, embeddings and metrics.
-Result<InferenceResult> RunPregelEngine(const Graph& graph,
-                                        const GnnModel& model,
-                                        const InferTurboOptions& options,
-                                        const ScatterPlan& plan) {
+Result<InferenceResult> RunPregelEngine(
+    const Graph& graph, const GnnModel& model,
+    const InferTurboOptions& options, const ScatterPlan& plan) {
   HashPartitioner partitioner(options.num_workers);
   const PartitionAssignment assignment =
       AssignPartitions(graph.num_nodes(), partitioner);

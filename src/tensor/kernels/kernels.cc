@@ -173,26 +173,6 @@ void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
 // MatMulTransposedA costs more in allocation than it saves.
 constexpr std::int64_t kTransposeAMinMulAdds = 1 << 15;
 
-// The small-size MatMulTransposedA: the reference's k-i-j loop with
-// skip-on-zero over A entries. Each output element accumulates in
-// ascending k, so vectorizing the j loop keeps it bit-identical to the
-// scalar oracle.
-Tensor SmallMatMulTransposedA(const Tensor& a, const Tensor& b) {
-  Tensor c(a.cols(), b.cols());
-  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* ak = a.RowPtr(kk);
-    const float* bk = b.RowPtr(kk);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float aki = ak[i];
-      if (aki == 0.0f) continue;
-      float* ci = c.RowPtr(i);
-      for (std::int64_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
-    }
-  }
-  return c;
-}
-
 // Cache-blocked out-of-place transpose: (rows×cols) -> (cols×rows).
 void TransposeInto(const float* __restrict__ src, std::int64_t rows,
                    std::int64_t cols, float* __restrict__ dst) {
@@ -249,7 +229,9 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
   if (m * k * n < kTransposeAMinMulAdds && !UsingFastMath()) {
-    return SmallMatMulTransposedA(a, b);
+    Tensor c(m, n);
+    detail::MatMulTASmallPortable(a.data(), b.data(), c.data(), k, m, n);
+    return c;
   }
   // A^T·B = MatMul over a transposed copy of A. The tiled kernel skips
   // the same zero entries in the same ascending-k order the reference's

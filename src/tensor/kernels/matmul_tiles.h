@@ -33,6 +33,13 @@ void MatMulTBRowsAvx2(const float* a, const float* b, float* c,
                       std::int64_t r0, std::int64_t r1, std::int64_t k,
                       std::int64_t n);
 
+/// C(m×n) += A(k×m)^T · B(k×n) for sizes too small to transpose and
+/// tile: the scalar reference's k-i-j loop with skip-on-zero over A.
+/// Each output element accumulates in ascending k, so vectorizing the
+/// j loop keeps it bit-identical to the oracle.
+void MatMulTASmallPortable(const float* a, const float* b, float* c,
+                           std::int64_t k, std::int64_t m, std::int64_t n);
+
 /// Packed-panel kernels: columns [c0, c0 + pw) of C(m×ldc) from all of
 /// A(m×k) and a pre-packed B panel `bp` (k×pw row-major — the pw
 /// columns made dense so a parallel task's B working set is contiguous

@@ -14,6 +14,20 @@ namespace detail {
 #undef INFERTURBO_TILE_FN
 #undef INFERTURBO_TILE_RESTRICT
 
+void MatMulTASmallPortable(const float* a, const float* b, float* c,
+                           std::int64_t k, std::int64_t m, std::int64_t n) {
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* ak = a + kk * m;
+    const float* bk = b + kk * n;
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float aki = ak[i];
+      if (aki == 0.0f) continue;
+      float* ci = c + i * n;
+      for (std::int64_t j = 0; j < n; ++j) ci[j] += aki * bk[j];
+    }
+  }
+}
+
 }  // namespace detail
 }  // namespace kernels
 }  // namespace inferturbo
