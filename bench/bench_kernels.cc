@@ -14,9 +14,7 @@
 //   bench_kernels --scaling-gate       exit 1 if any op's best multi-thread
 //                                      time is worse than its 1-thread time
 //                                      by more than --scaling-tolerance
-//   bench_kernels --fast_math=false    skip the opt-in fast-math rows
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -95,13 +93,6 @@ void SetThreads(int max_threads) {
   kernels::SetKernelConfig(config);
 }
 
-void SetFastMath(bool on, bool bf16) {
-  kernels::KernelConfig config = kernels::GetKernelConfig();
-  config.fast_math = on;
-  config.fast_math_bf16 = bf16;
-  kernels::SetKernelConfig(config);
-}
-
 struct Harness {
   TimingOptions timing;
   // Fixed sweep (default {1, 2, 8}) so baseline rows always compare
@@ -119,15 +110,6 @@ struct Harness {
              FastFn&& fast) {
     SetThreads(1);
     const double ref_seconds = TimeIt(timing, ref);
-    BenchTimed(op, shape, work, elems, ref_seconds, fast);
-  }
-
-  // As Bench, but reuses an already-measured reference time (for
-  // op variants sharing one oracle, e.g. the fast-math tiers).
-  template <typename FastFn>
-  void BenchTimed(const std::string& op, const std::string& shape,
-                  kernels::KernelWork work, double elems, double ref_seconds,
-                  FastFn&& fast) {
     const double flops = static_cast<double>(work.flops);
     const double bytes = static_cast<double>(work.bytes);
     for (const int threads : thread_set) {
@@ -187,38 +169,7 @@ std::string MatMulShapeLabel(std::int64_t m, std::int64_t k, std::int64_t n) {
   return out.str();
 }
 
-// Validates one fast-math result against the scalar oracle within the
-// documented envelope |fast - oracle| <= tol * (|A|·|B|)[i,j] + tiny.
-// Dies loudly on violation: a silently-wrong fast row would poison the
-// baseline.
-void CheckFastMath(const Tensor& fast, const Tensor& oracle,
-                   const Tensor& envelope, float tol, const char* op) {
-  constexpr float kTiny = 1e-6f;
-  for (std::int64_t i = 0; i < fast.rows(); ++i) {
-    for (std::int64_t j = 0; j < fast.cols(); ++j) {
-      const float bound = tol * envelope.At(i, j) + kTiny;
-      const float err = std::fabs(fast.At(i, j) - oracle.At(i, j));
-      if (!(err <= bound)) {
-        std::fprintf(stderr,
-                     "bench_kernels: %s out of tolerance at (%lld,%lld): "
-                     "|%g - %g| = %g > %g\n",
-                     op, static_cast<long long>(i), static_cast<long long>(j),
-                     fast.At(i, j), oracle.At(i, j), err, bound);
-        std::exit(3);
-      }
-    }
-  }
-}
-
-Tensor AbsTensor(const Tensor& t) {
-  Tensor out(t.rows(), t.cols());
-  for (std::int64_t i = 0; i < t.size(); ++i) {
-    out.data()[i] = std::fabs(t.data()[i]);
-  }
-  return out;
-}
-
-void BenchMatMuls(Harness* harness, bool quick, bool fast_math) {
+void BenchMatMuls(Harness* harness, bool quick) {
   std::vector<std::int64_t> sizes = quick
                                         ? std::vector<std::int64_t>{128}
                                         : std::vector<std::int64_t>{128, 256,
@@ -230,32 +181,10 @@ void BenchMatMuls(Harness* harness, bool quick, bool fast_math) {
     const kernels::KernelWork work = kernels::MatMulWork(n, n, n);
     const double elems = static_cast<double>(n) * n;  // output elements
     const std::string shape = MatMulShapeLabel(n, n, n);
-    SetThreads(1);
-    const double ref_seconds =
-        TimeIt(harness->timing, [&] { Sink(kernels::reference::MatMul(a, b)); });
-    harness->BenchTimed("matmul", shape, work, elems, ref_seconds,
-                        [&] { Sink(kernels::MatMul(a, b)); });
-    SetFastMath(true, /*bf16=*/false);
-    const bool fast_available = kernels::UsingFastMath();
-    SetFastMath(false, false);
-    if (fast_math && fast_available) {
-      // Validate each tier once against the oracle at the documented
-      // tolerance before timing it.
-      const Tensor oracle = kernels::reference::MatMul(a, b);
-      const Tensor envelope =
-          kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
-      SetFastMath(true, /*bf16=*/false);
-      CheckFastMath(kernels::MatMul(a, b), oracle, envelope,
-                    kernels::kFastMathRelTol, "matmul_fast");
-      harness->BenchTimed("matmul_fast", shape, work, elems, ref_seconds,
-                          [&] { Sink(kernels::MatMul(a, b)); });
-      SetFastMath(true, /*bf16=*/true);
-      CheckFastMath(kernels::MatMul(a, b), oracle, envelope,
-                    kernels::kFastMathBf16RelTol, "matmul_fast_bf16");
-      harness->BenchTimed("matmul_fast_bf16", shape, work, elems,
-                          ref_seconds, [&] { Sink(kernels::MatMul(a, b)); });
-      SetFastMath(false, false);
-    }
+    harness->Bench(
+        "matmul", shape, work, elems,
+        [&] { Sink(kernels::reference::MatMul(a, b)); },
+        [&] { Sink(kernels::MatMul(a, b)); });
     harness->Bench(
         "matmul_tb", shape, work, elems,
         [&] { Sink(kernels::reference::MatMulTransposedB(a, b)); },
@@ -441,7 +370,6 @@ int Main(int argc, char** argv) {
   const std::string out_path = flags->GetString("out", "BENCH_kernels.json");
   const bool scaling_gate = flags->GetBool("scaling-gate", false);
   const double scaling_tolerance = flags->GetDouble("scaling-tolerance", 0.15);
-  const bool fast_math = flags->GetBool("fast_math", true);
 
   Harness harness;
   harness.thread_set = ParseThreadSet(flags->GetString("threads", "1,2,8"));
@@ -463,7 +391,7 @@ int Main(int argc, char** argv) {
                   : PerfCountersUnavailableReason().c_str());
 
   const kernels::KernelConfig saved = kernels::GetKernelConfig();
-  BenchMatMuls(&harness, quick, fast_math);
+  BenchMatMuls(&harness, quick);
   BenchSegmentOps(&harness, quick);
   BenchRowOps(&harness, quick);
   kernels::SetKernelConfig(saved);

@@ -65,10 +65,6 @@
 // Performance flags (any mode):
 //   --num_threads=N             kernel-layer threads (0 = all cores);
 //                               results are bit-identical at any value
-//   --fast_math=true            opt-in FMA matmul tier — faster, NOT
-//                               bit-identical (documented tolerance)
-//   --fast_math_precision=fp32|bf16   fast-math panel storage; bf16
-//                               halves panel bytes at a wider tolerance
 //
 // Run with no flags for a demo that chains all three in /tmp.
 #include <atomic>
@@ -105,7 +101,7 @@
 #include "src/serving/serving_engine.h"
 #include "src/serving/workload.h"
 #include "src/common/timer.h"
-#include "src/tensor/kernels/kernels.h"
+#include "src/tensor/kernels/kernel_config.h"
 
 namespace inferturbo {
 namespace {
@@ -624,28 +620,12 @@ int Main(int argc, const char* const argv[]) {
     }
     SetLogLevel(level);
   }
-  // Kernel-layer performance knobs. --num_threads bounds kernel
-  // fan-out (bit-identical at any value); --fast_math opts in to the
-  // tolerance-validated FMA tier and is never on by default.
+  // --num_threads bounds kernel fan-out; results are bit-identical at
+  // any value.
   {
     kernels::KernelConfig config = kernels::GetKernelConfig();
     config.max_threads = static_cast<int>(flags->GetInt("num_threads", 0));
-    config.fast_math = flags->GetBool("fast_math", false);
-    const std::string precision =
-        flags->GetString("fast_math_precision", "fp32");
-    if (precision != "fp32" && precision != "bf16") {
-      std::fprintf(stderr,
-                   "unknown --fast_math_precision=%s (fp32|bf16)\n",
-                   precision.c_str());
-      return 2;
-    }
-    config.fast_math_bf16 = precision == "bf16";
     kernels::SetKernelConfig(config);
-    if (config.fast_math && !kernels::UsingFastMath()) {
-      std::fprintf(stderr,
-                   "warning: --fast_math requested but this CPU/build lacks "
-                   "AVX2+FMA; staying on the deterministic tier\n");
-    }
   }
   // Telemetry is opt-in per run: tracing/metrics stay compiled-out-cheap
   // (a branch on a relaxed atomic) unless the flags ask for output.

@@ -10,10 +10,7 @@ namespace kernels {
 /// Process-wide tuning knobs for the fast kernel layer. Thread fan-out
 /// never changes results — every output row is owned by exactly one
 /// task in a fixed contiguous partition — so the scheduling knobs only
-/// trade latency against dispatch overhead. The fast-math knobs are the
-/// one exception and are opt-in: they select a separate kernel tier
-/// that trades bit-identity with the scalar oracle for throughput
-/// (documented tolerance, see fast_math_test).
+/// trade latency against dispatch overhead.
 struct KernelConfig {
   /// Upper bound on tasks per kernel launch; 0 means the scheduler's
   /// thread count (the default pool's, capped at the hardware
@@ -23,14 +20,6 @@ struct KernelConfig {
   /// before a kernel fans out; below this everything runs on the
   /// calling thread.
   std::int64_t min_parallel_work = 1 << 18;
-  /// Opt-in fast-math tier for the matmuls: FMA contraction and
-  /// relaxed accumulation order, validated against the scalar oracle
-  /// at a documented tolerance instead of bit-identity. Never on by
-  /// default; ignored when the CPU lacks FMA.
-  bool fast_math = false;
-  /// With fast_math: store packed B panels as bf16 (fp32 accumulate).
-  /// Halves the panel working set at a wider documented tolerance.
-  bool fast_math_bf16 = false;
 };
 
 KernelConfig GetKernelConfig();

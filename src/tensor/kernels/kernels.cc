@@ -85,8 +85,8 @@ PanelKernel MatMulPanelKernel() {
 
 // Panel partition geometry: column-chunk boundaries snap to the tile
 // width so no task ever splits a 16-wide register tile, and each
-// packed block is capped so a panel (k × kPanelMaxCols floats, half
-// that as bf16) stays cache-resident in the owning thread's scratch.
+// packed block is capped so a panel (k × kPanelMaxCols floats) stays
+// cache-resident in the owning thread's scratch.
 constexpr std::int64_t kPanelQuantum = 16;
 constexpr std::int64_t kPanelMaxCols = 128;
 
@@ -100,27 +100,22 @@ void PackPanel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j0,
 }
 
 // Shared C(m×n) = A(m×k)·B(k×n) body behind MatMul and the transposed
-// variants. Three dispatch paths:
+// variants. Two dispatch paths:
 //  - deterministic rows: each task owns output rows. Serial calls and
 //    skinny-N shapes (not enough 16-column panels for the task count).
 //  - deterministic panels: tasks own column ranges; each packs its B
 //    columns into a persistent thread_local scratch, so the streamed
 //    operand stays dense and core-local. Bit-identical to the row path
 //    (packing moves bytes, every per-element chain is unchanged).
-//  - fast-math panels: same geometry, FMA tiles (optionally bf16
-//    storage). Opt-in, tolerance-validated, never silently selected.
 void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
                 std::int64_t k, std::int64_t n) {
-  const KernelConfig config = GetKernelConfig();
-  const bool fast = config.fast_math && detail::FastMathKernelsAvailable();
-  const bool bf16 = fast && config.fast_math_bf16;
   const std::int64_t groups = (n + kPanelQuantum - 1) / kPanelQuantum;
   const std::int64_t items = std::max(m, groups);
   const std::int64_t work_per_item = m * k * n / std::max<std::int64_t>(1,
                                                                         items);
   const int tasks = PlanParallelTasks(items, work_per_item);
 
-  if (!fast && (tasks <= 1 || tasks > groups)) {
+  if (tasks <= 1 || tasks > groups) {
     const RowKernel kernel = MatMulRowsKernel();
     const int row_tasks = static_cast<int>(
         std::min<std::int64_t>(tasks, std::max<std::int64_t>(1, m)));
@@ -146,25 +141,10 @@ void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
       const std::int64_t j1 = std::min(n, g1 * kPanelQuantum);
       const std::int64_t pw = j1 - j0;
       if (pw <= 0) continue;
-      if (bf16) {
-        // bf16 panels live in the same float scratch, two values per
-        // slot.
-        const std::size_t need = static_cast<std::size_t>(k * pw + 1) / 2;
-        if (scratch.size() < need) scratch.resize(need);
-        std::uint16_t* packed =
-            reinterpret_cast<std::uint16_t*>(scratch.data());
-        detail::PackPanelBf16(pb, k, n, j0, pw, packed);
-        detail::MatMulPanelBf16Fma(pa, packed, pc, m, k, pw, j0, n);
-        continue;
-      }
       const std::size_t need = static_cast<std::size_t>(k * pw);
       if (scratch.size() < need) scratch.resize(need);
       PackPanel(pb, k, n, j0, pw, scratch.data());
-      if (fast) {
-        detail::MatMulPanelFma(pa, scratch.data(), pc, m, k, pw, j0, n);
-      } else {
-        MatMulPanelKernel()(pa, scratch.data(), pc, m, k, pw, j0, n);
-      }
+      MatMulPanelKernel()(pa, scratch.data(), pc, m, k, pw, j0, n);
     }
   });
 }
@@ -193,10 +173,6 @@ void TransposeInto(const float* __restrict__ src, std::int64_t rows,
 }  // namespace
 
 bool UsingAvx2() { return detail::Avx2KernelsAvailable(); }
-
-bool UsingFastMath() {
-  return GetKernelConfig().fast_math && detail::FastMathKernelsAvailable();
-}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -228,7 +204,7 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
   PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
-  if (m * k * n < kTransposeAMinMulAdds && !UsingFastMath()) {
+  if (m * k * n < kTransposeAMinMulAdds) {
     Tensor c(m, n);
     detail::MatMulTASmallPortable(a.data(), b.data(), c.data(), k, m, n);
     return c;
@@ -236,8 +212,7 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   // A^T·B = MatMul over a transposed copy of A. The tiled kernel skips
   // the same zero entries in the same ascending-k order the reference's
   // k-i-j loop does, so results stay bit-identical while the hot loop
-  // gets the register-tiled treatment (and the fast-math tier applies
-  // here too, since the shared body does the dispatch).
+  // gets the register-tiled treatment.
   std::vector<float> at(static_cast<std::size_t>(m * k));
   TransposeInto(a.data(), k, m, at.data());
   Tensor c(m, n);

@@ -21,24 +21,8 @@ namespace kernels {
 /// allowed in any instantiation. The crash-sweep and cross-backend
 /// equivalence suites rely on this contract; kernels_test enforces it.
 ///
-/// The one exception is the OPT-IN fast-math tier
-/// (KernelConfig.fast_math): MatMul and MatMulTransposedA then route
-/// to FMA panel kernels (optionally bf16-storage) that trade
-/// bit-identity for throughput. Fast-math results are validated
-/// against the scalar oracle within the tolerances below
-/// (fast_math_test); deterministic mode is unaffected.
-///
 /// Shape agreement is the caller's contract (src/tensor/ops.h checks
 /// it); segment ids must already be validated against num_segments.
-
-/// Documented fast-math validation bounds, as a multiple of the
-/// |A|·|B| absolute-value product per output element (the standard
-/// rounding-error envelope — see fast_math_test): fp32-FMA results
-/// must satisfy |fast - oracle| <= tol * (|A|·|B|)[i,j] + tiny.
-constexpr float kFastMathRelTol = 1e-4f;
-/// bf16 stores B with an 8-bit mantissa (unit roundoff 2^-9), so the
-/// envelope is dominated by the storage rounding, not accumulation.
-constexpr float kFastMathBf16RelTol = 8e-3f;
 
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
@@ -66,10 +50,6 @@ void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
 /// True when the AVX2 instantiation is compiled in and the CPU
 /// supports it (informational — results are identical either way).
 bool UsingAvx2();
-
-/// True when the fast-math tier would actually engage: the config
-/// opts in AND the FMA instantiation is compiled in and supported.
-bool UsingFastMath();
 
 }  // namespace kernels
 }  // namespace inferturbo

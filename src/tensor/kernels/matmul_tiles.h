@@ -58,31 +58,6 @@ void MatMulPanelAvx2(const float* a, const float* bp, float* c,
 /// True when the AVX2 TU was built with AVX2 *and* the CPU supports it.
 bool Avx2KernelsAvailable();
 
-/// The opt-in fast-math tier (matmul_fastmath.cc, compiled with
-/// -mavx2 -mfma): FMA contraction, no skip-on-zero, same panel shape.
-/// NOT bit-identical to the reference — validated against it at the
-/// documented tolerances (see kFastMathRelTol / kFastMathBf16RelTol in
-/// kernels.h). Dispatched only when KernelConfig.fast_math is set and
-/// FastMathKernelsAvailable() is true.
-void MatMulPanelFma(const float* a, const float* bp, float* c, std::int64_t m,
-                    std::int64_t k, std::int64_t pw, std::int64_t c0,
-                    std::int64_t ldc);
-
-/// bf16-storage variant: `bp` holds the panel as bf16 (PackPanelBf16),
-/// expanded to fp32 in registers and accumulated in fp32.
-void MatMulPanelBf16Fma(const float* a, const std::uint16_t* bp, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t pw,
-                        std::int64_t c0, std::int64_t ldc);
-
-/// Packs columns [j0, j0 + pw) of B(k×n) into a dense k×pw bf16 panel
-/// (round-to-nearest-even truncation of the fp32 bits).
-void PackPanelBf16(const float* b, std::int64_t k, std::int64_t n,
-                   std::int64_t j0, std::int64_t pw, std::uint16_t* out);
-
-/// True when the fast-math TU was built with AVX2+FMA and the CPU has
-/// both.
-bool FastMathKernelsAvailable();
-
 }  // namespace detail
 }  // namespace kernels
 }  // namespace inferturbo

@@ -74,6 +74,9 @@ const MatMulShape kMatMulShapes[] = {
     {0, 0, 0}, {0, 4, 4},   {4, 0, 4},   {4, 4, 0},    {1, 1, 1},
     {1, 7, 1}, {2, 3, 4},   {4, 16, 16}, {5, 17, 23},  {7, 1, 9},
     {3, 9, 8}, {16, 8, 33}, {33, 29, 47}, {64, 64, 64}, {12, 40, 17},
+    // Wide N: many 16-column panel groups split across tasks, with and
+    // without a column tail.
+    {6, 40, 128}, {65, 31, 130},
 };
 
 TEST_F(KernelsTest, MatMulBitIdenticalAtEveryThreadCount) {
