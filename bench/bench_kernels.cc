@@ -28,7 +28,6 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
-#include "src/telemetry/perf_counters.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/kernels.h"
@@ -51,13 +50,9 @@ struct BenchRecord {
   double gflops = 0.0;       // 0 for pure-bandwidth ops
   double ns_per_elem = 0.0;  // per "element" as defined by the op below
   double speedup_vs_reference = 0.0;
-  // Roofline coordinates: analytic per-iteration traffic, and hardware
-  // counters per iteration (0 when perf_event_open is unavailable).
+  // Roofline coordinates from the analytic per-iteration traffic.
   double bytes_per_flop = 0.0;  // 0 for pure-bandwidth (flops == 0) ops
   double gb_per_s = 0.0;
-  double cycles_per_iter = 0.0;
-  double instructions_per_iter = 0.0;
-  double llc_misses_per_iter = 0.0;
 };
 
 struct TimingOptions {
@@ -66,11 +61,10 @@ struct TimingOptions {
 };
 
 // Times `fn` by whole iterations until the budget is spent. Returns
-// seconds per iteration (and the iteration count via `iters_out`). One
-// untimed warmup iteration absorbs cold caches and lazy ISA dispatch.
+// seconds per iteration. One untimed warmup iteration absorbs cold
+// caches and lazy ISA dispatch.
 template <typename Fn>
-double TimeIt(const TimingOptions& options, Fn&& fn,
-              std::int64_t* iters_out = nullptr) {
+double TimeIt(const TimingOptions& options, Fn&& fn) {
   fn();
   WallTimer timer;
   std::int64_t iters = 0;
@@ -80,7 +74,6 @@ double TimeIt(const TimingOptions& options, Fn&& fn,
     ++iters;
     elapsed = timer.ElapsedSeconds();
   }
-  if (iters_out != nullptr) *iters_out = iters;
   return elapsed / static_cast<double>(iters);
 }
 
@@ -114,16 +107,7 @@ struct Harness {
     const double bytes = static_cast<double>(work.bytes);
     for (const int threads : thread_set) {
       SetThreads(threads);
-      PerfCounterValues counters;
-      std::int64_t iters = 0;
-      double seconds = 0.0;
-      {
-        // Accumulate-form scope: counters bypass the registry and
-        // bracket the whole timing loop (including the one warmup
-        // iteration — hence iters + 1 below).
-        PerfCounterScope profile("bench", &counters);
-        seconds = TimeIt(timing, fast, &iters);
-      }
+      const double seconds = TimeIt(timing, fast);
       BenchRecord record;
       record.op = op;
       record.shape = shape;
@@ -134,30 +118,12 @@ struct Harness {
       record.speedup_vs_reference = ref_seconds / seconds;
       record.bytes_per_flop = work.BytesPerFlop();
       record.gb_per_s = bytes > 0 ? bytes / seconds * 1e-9 : 0.0;
-      if (counters.valid && iters > 0) {
-        const double per_iter = 1.0 / static_cast<double>(iters + 1);
-        record.cycles_per_iter =
-            static_cast<double>(counters.cycles) * per_iter;
-        record.instructions_per_iter =
-            static_cast<double>(counters.instructions) * per_iter;
-        record.llc_misses_per_iter =
-            static_cast<double>(counters.llc_misses) * per_iter;
-      }
       records.push_back(record);
       std::printf("%-16s %-14s threads=%d  %10.3f ms/iter  %7.2f GFLOP/s"
-                  "  %8.3f ns/elem  %5.2fx vs reference",
+                  "  %8.3f ns/elem  %5.2fx vs reference\n",
                   op.c_str(), shape.c_str(), threads, seconds * 1e3,
                   record.gflops, record.ns_per_elem,
                   record.speedup_vs_reference);
-      if (counters.valid) {
-        std::printf("  %.0fM cycles/iter (ipc %.2f)",
-                    record.cycles_per_iter * 1e-6,
-                    record.cycles_per_iter > 0
-                        ? record.instructions_per_iter /
-                              record.cycles_per_iter
-                        : 0.0);
-      }
-      std::printf("\n");
     }
     SetThreads(1);
   }
@@ -278,14 +244,6 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   out << "  \"thread_set\": \"" << ThreadSetLabel(thread_set) << "\",\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
-  // Explicit marker: rows carry real hardware counts, or they are all
-  // zero because perf_event_open is unavailable on this host.
-  out << "  \"perf_counters\": \""
-      << (PerfCountersSupported() ? "available" : "unavailable") << "\",\n";
-  if (!PerfCountersSupported()) {
-    out << "  \"perf_fallback_reason\": \""
-        << PerfCountersUnavailableReason() << "\",\n";
-  }
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
@@ -294,15 +252,10 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
                   "    {\"op\": \"%s\", \"shape\": \"%s\", \"threads\": %d, "
                   "\"seconds_per_iter\": %.6e, \"gflops\": %.4f, "
                   "\"ns_per_elem\": %.4f, \"speedup_vs_reference\": %.3f, "
-                  "\"bytes_per_flop\": %.4f, \"gb_per_s\": %.3f, "
-                  "\"cycles_per_iter\": %.0f, "
-                  "\"instructions_per_iter\": %.0f, "
-                  "\"llc_misses_per_iter\": %.0f}%s",
+                  "\"bytes_per_flop\": %.4f, \"gb_per_s\": %.3f}%s",
                   r.op.c_str(), r.shape.c_str(), r.threads,
                   r.seconds_per_iter, r.gflops, r.ns_per_elem,
                   r.speedup_vs_reference, r.bytes_per_flop, r.gb_per_s,
-                  r.cycles_per_iter, r.instructions_per_iter,
-                  r.llc_misses_per_iter,
                   i + 1 < records.size() ? "," : "");
     out << line << "\n";
   }
@@ -376,19 +329,11 @@ int Main(int argc, char** argv) {
   harness.timing.min_seconds = quick ? 0.02 : 0.3;
   harness.timing.max_iters = quick ? 20 : 200;
 
-  // Measurement is the whole point of a bench run, so profiling is on
-  // unconditionally; rows degrade to zero counters where the host
-  // forbids perf_event_open.
-  SetProfilingEnabled(true);
-
   std::printf("bench_kernels (%s mode, avx2=%s, threads={%s}, %u hardware "
-              "threads, perf counters %s)\n\n",
+              "threads)\n\n",
               quick ? "quick" : "full", kernels::UsingAvx2() ? "on" : "off",
               ThreadSetLabel(harness.thread_set).c_str(),
-              std::thread::hardware_concurrency(),
-              PerfCountersSupported()
-                  ? "available"
-                  : PerfCountersUnavailableReason().c_str());
+              std::thread::hardware_concurrency());
 
   const kernels::KernelConfig saved = kernels::GetKernelConfig();
   BenchMatMuls(&harness, quick);

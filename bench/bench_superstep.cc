@@ -32,7 +32,6 @@
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/timer.h"
-#include "src/telemetry/perf_counters.h"
 #include "src/gas/message.h"
 #include "src/gas/superstep_gather.h"
 #include "tests/oracles/superstep_gather_scalar.h"
@@ -61,12 +60,6 @@ struct BenchRecord {
   double gflops = 0.0;       // folded floats per second, 1e-9
   double ns_per_elem = 0.0;  // per message
   double speedup_vs_reference = 0.0;
-  // Hardware counters per fast-side iteration; 0 when perf_event_open
-  // is unavailable. Calling-thread counters only, so multi-thread rows
-  // undercount fan-out work — compare threads=1 rows across runs.
-  double cycles_per_iter = 0.0;
-  double instructions_per_iter = 0.0;
-  double llc_misses_per_iter = 0.0;
 };
 
 struct TimingOptions {
@@ -102,7 +95,6 @@ struct Harness {
       double seconds = std::numeric_limits<double>::infinity();
       double elapsed = 0.0;
       std::int64_t iters = 0;
-      PerfCounterValues counters;
       SetThreads(1);
       ref();
       SetThreads(threads);
@@ -118,9 +110,6 @@ struct Harness {
         }
         SetThreads(threads);
         {
-          // The scope brackets only the timed fast block, so counter
-          // totals divide cleanly by `iters` (warmup excluded).
-          PerfCounterScope profile("bench", &counters);
           WallTimer timer;
           fast();
           const double s = timer.ElapsedSeconds();
@@ -137,15 +126,6 @@ struct Harness {
       record.gflops = flops > 0 ? flops / seconds * 1e-9 : 0.0;
       record.ns_per_elem = elems > 0 ? seconds * 1e9 / elems : 0.0;
       record.speedup_vs_reference = ref_seconds / seconds;
-      if (counters.valid && iters > 0) {
-        const double per_iter = 1.0 / static_cast<double>(iters);
-        record.cycles_per_iter =
-            static_cast<double>(counters.cycles) * per_iter;
-        record.instructions_per_iter =
-            static_cast<double>(counters.instructions) * per_iter;
-        record.llc_misses_per_iter =
-            static_cast<double>(counters.llc_misses) * per_iter;
-      }
       records.push_back(record);
       std::printf("%-15s %-16s threads=%d  %10.3f ms/iter  %7.2f Gfold/s"
                   "  %8.3f ns/msg  %5.2fx vs scalar\n",
@@ -373,14 +353,6 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   out << "  \"thread_set\": \"" << ThreadSetLabel(thread_set) << "\",\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
-  // Explicit marker: rows carry real hardware counts, or they are all
-  // zero because perf_event_open is unavailable on this host.
-  out << "  \"perf_counters\": \""
-      << (PerfCountersSupported() ? "available" : "unavailable") << "\",\n";
-  if (!PerfCountersSupported()) {
-    out << "  \"perf_fallback_reason\": \""
-        << PerfCountersUnavailableReason() << "\",\n";
-  }
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
@@ -388,15 +360,10 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
     std::snprintf(line, sizeof(line),
                   "    {\"op\": \"%s\", \"shape\": \"%s\", \"threads\": %d, "
                   "\"seconds_per_iter\": %.6e, \"gflops\": %.4f, "
-                  "\"ns_per_elem\": %.4f, \"speedup_vs_reference\": %.3f, "
-                  "\"cycles_per_iter\": %.0f, "
-                  "\"instructions_per_iter\": %.0f, "
-                  "\"llc_misses_per_iter\": %.0f}%s",
+                  "\"ns_per_elem\": %.4f, \"speedup_vs_reference\": %.3f}%s",
                   r.op.c_str(), r.shape.c_str(), r.threads,
                   r.seconds_per_iter, r.gflops, r.ns_per_elem,
-                  r.speedup_vs_reference, r.cycles_per_iter,
-                  r.instructions_per_iter, r.llc_misses_per_iter,
-                  i + 1 < records.size() ? "," : "");
+                  r.speedup_vs_reference, i + 1 < records.size() ? "," : "");
     out << line << "\n";
   }
   out << "  ]\n}\n";
@@ -469,19 +436,11 @@ int Main(int argc, char** argv) {
   harness.timing.min_seconds = quick ? 0.1 : 0.3;
   harness.timing.max_iters = quick ? 30 : 50;
 
-  // Measurement is the whole point of a bench run, so profiling is on
-  // unconditionally; rows degrade to zero counters where the host
-  // forbids perf_event_open.
-  SetProfilingEnabled(true);
-
   std::printf("bench_superstep (%s mode, avx2=%s, threads={%s}, %u hardware "
-              "threads, perf counters %s)\n\n",
+              "threads)\n\n",
               quick ? "quick" : "full", kernels::UsingAvx2() ? "on" : "off",
               ThreadSetLabel(harness.thread_set).c_str(),
-              std::thread::hardware_concurrency(),
-              PerfCountersSupported()
-                  ? "available"
-                  : PerfCountersUnavailableReason().c_str());
+              std::thread::hardware_concurrency());
 
   // The quick sweep reuses the smaller full-sweep inbox so CI's
   // report_diff gate compares real rows against the checked-in Release

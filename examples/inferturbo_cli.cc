@@ -39,10 +39,6 @@
 //   --log_level=debug|info|warning|error
 //   --trace_out=FILE     Chrome trace-event JSON (open in Perfetto)
 //   --metrics_out=FILE   machine-readable run report (infer/serve mode)
-//   --profile=true       hardware-counter profiling (perf_event_open);
-//                        per-scope cycle/instruction/LLC-miss totals
-//                        land in the run report's metrics + profiling
-//                        sections (graceful no-op where unavailable)
 //   --flight_record_out=FILE  always-on flight recorder: on engine
 //                        error or fatal signal the last ~4096
 //                        structured events (retries, evictions, fault
@@ -82,7 +78,6 @@
 #include "src/runtime/fault_plan.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/perf_counters.h"
 #include "src/telemetry/run_report.h"
 #include "src/telemetry/timeline.h"
 #include "src/telemetry/trace.h"
@@ -632,18 +627,6 @@ int Main(int argc, const char* const argv[]) {
   const std::string trace_out = flags->GetString("trace_out", "");
   if (!trace_out.empty()) SetTracingEnabled(true);
   if (!flags->GetString("metrics_out", "").empty()) SetMetricsEnabled(true);
-  if (flags->GetBool("profile", false)) {
-    // Counter totals accumulate through the registry, so profiling
-    // implies metrics.
-    SetProfilingEnabled(true);
-    SetMetricsEnabled(true);
-    if (!PerfCountersSupported()) {
-      std::fprintf(stderr,
-                   "warning: --profile requested but hardware counters are "
-                   "unavailable (%s); profile.* metrics will stay zero\n",
-                   PerfCountersUnavailableReason().c_str());
-    }
-  }
   const std::string flight_out = flags->GetString("flight_record_out", "");
   if (!flight_out.empty()) {
     // Non-empty path arms the recorder; the signal handler covers

@@ -6,7 +6,6 @@
 #include "src/common/atomic_file.h"
 #include "src/storage/shard_store.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/perf_counters.h"
 
 namespace inferturbo {
 namespace {
@@ -141,7 +140,6 @@ JsonValue BuildRunReport(const JobMetrics& metrics,
       {"storage", StorageJson(metrics.storage)},
       {"faults", FaultsJson(metrics.supervision)},
       {"metrics", GlobalMetrics().Snapshot()},
-      {"profiling", ProfilingReportJson()},
   };
   if (options.serving != nullptr) {
     report["serving"] = ServingJson(*options.serving);

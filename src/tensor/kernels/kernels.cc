@@ -9,7 +9,6 @@
 
 #include "src/common/logging.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/perf_counters.h"
 #include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/matmul_tiles.h"
 #include "src/tensor/kernels/row_fold.h"
@@ -176,7 +175,6 @@ bool UsingAvx2() { return detail::Avx2KernelsAvailable(); }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  PerfCounterScope profile("kernel.matmul");
   AccountKernel("matmul", MatMulWork(m, k, n));
   Tensor c(m, n);
   if (c.empty()) return c;
@@ -186,7 +184,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  PerfCounterScope profile("kernel.matmul_tb");
   AccountKernel("matmul_tb", MatMulWork(m, k, n));
   Tensor c(m, n);
   if (c.empty()) return c;
@@ -202,7 +199,6 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
 
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
   if (m * k * n < kTransposeAMinMulAdds) {
     Tensor c(m, n);
@@ -324,7 +320,6 @@ Tensor SegmentExtremum(const Tensor& values, std::span<const std::int64_t> ids,
 Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
   const std::int64_t cols = values.cols();
-  PerfCounterScope profile("kernel.segment_sum");
   AccountKernel("segment_sum",
                 SegmentFoldWork(static_cast<std::int64_t>(ids.size()), cols));
   Tensor out(num_segments, cols);
@@ -335,7 +330,6 @@ Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,
 
 Tensor SegmentMax(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
-  PerfCounterScope profile("kernel.segment_max");
   AccountKernel("segment_max",
                 SegmentFoldWork(static_cast<std::int64_t>(ids.size()),
                                 values.cols()));
@@ -346,7 +340,6 @@ Tensor SegmentMax(const Tensor& values, std::span<const std::int64_t> ids,
 
 Tensor SegmentMin(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
-  PerfCounterScope profile("kernel.segment_min");
   AccountKernel("segment_min",
                 SegmentFoldWork(static_cast<std::int64_t>(ids.size()),
                                 values.cols()));
@@ -357,7 +350,6 @@ Tensor SegmentMin(const Tensor& values, std::span<const std::int64_t> ids,
 
 Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,
                    std::int64_t num_segments) {
-  PerfCounterScope profile("kernel.segment_mean");
   AccountKernel("segment_mean",
                 SegmentMeanWork(static_cast<std::int64_t>(ids.size()),
                                 values.cols(), num_segments));
@@ -384,7 +376,6 @@ Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,
 Tensor GatherRows(const Tensor& a, std::span<const std::int64_t> indices) {
   const std::int64_t out_rows = static_cast<std::int64_t>(indices.size());
   const std::int64_t cols = a.cols();
-  PerfCounterScope profile("kernel.gather_rows");
   AccountKernel("gather_rows", GatherWork(out_rows, cols));
   for (std::int64_t idx : indices) {
     INFERTURBO_CHECK(0 <= idx && idx < a.rows())
@@ -406,7 +397,6 @@ Tensor GatherRows(const Tensor& a, std::span<const std::int64_t> indices) {
 
 void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
                     const Tensor& rows) {
-  PerfCounterScope profile("kernel.scatter_add_rows");
   AccountKernel("scatter_add_rows",
                 ScatterAddWork(static_cast<std::int64_t>(indices.size()),
                                rows.cols()));

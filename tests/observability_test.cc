@@ -1,10 +1,9 @@
-// Observability-plane acceptance: the perf-counter profiling layer
-// (graceful fallback included — CI containers routinely forbid
-// perf_event_open), the lock-free flight recorder under multi-threaded
-// hammering and ring wrap, incomplete-span drains, the serve-mode
-// timeline sampler's JSONL output, report_diff gating semantics, and
-// the plane-wide zero-perturbation contract: every switch on at once
-// must not move a single logit bit on either backend.
+// Observability-plane acceptance: the analytic kernel work estimates,
+// the lock-free flight recorder under multi-threaded hammering and
+// ring wrap, incomplete-span drains, the serve-mode timeline sampler's
+// JSONL output, report_diff gating semantics, and the plane-wide
+// zero-perturbation contract: every switch on at once must not move a
+// single logit bit on either backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +28,6 @@
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/json.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/perf_counters.h"
 #include "src/telemetry/report_diff.h"
 #include "src/telemetry/timeline.h"
 #include "src/telemetry/trace.h"
@@ -38,7 +36,7 @@
 namespace inferturbo {
 namespace {
 
-/// Every test restores all four switches to their defaults (off) and
+/// Every test restores all three switches to their defaults (off) and
 /// clears the ring/trace/registry so cases cannot observe each other.
 class ObservabilityTest : public ::testing::Test {
  protected:
@@ -48,7 +46,6 @@ class ObservabilityTest : public ::testing::Test {
   static void ResetAll() {
     SetMetricsEnabled(false);
     SetTracingEnabled(false);
-    SetProfilingEnabled(false);
     SetFlightRecorderEnabled(false);
     SetFlightRecordPath("");
     GlobalMetrics().ResetValues();
@@ -66,119 +63,6 @@ std::string Slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-// --- perf counters ---------------------------------------------------
-
-TEST_F(ObservabilityTest, PerfCountersDisabledReadIsInvalid) {
-  ASSERT_FALSE(ProfilingEnabled());
-  const PerfCounterValues values = ReadThreadPerfCounters();
-  EXPECT_FALSE(values.valid);
-  EXPECT_EQ(values.cycles, 0);
-}
-
-TEST_F(ObservabilityTest, PerfCountersSupportOrExplicitReason) {
-  // The availability probe must commit to exactly one of two states:
-  // usable counters, or a non-empty stable fallback reason. CI
-  // containers commonly deny perf_event_open, so both arms are real.
-  if (PerfCountersSupported()) {
-    EXPECT_TRUE(PerfCountersUnavailableReason().empty());
-    SetProfilingEnabled(true);
-    const PerfCounterValues values = ReadThreadPerfCounters();
-    EXPECT_TRUE(values.valid);
-    EXPECT_GT(values.cycles, 0);
-  } else {
-    EXPECT_FALSE(PerfCountersUnavailableReason().empty());
-    SetProfilingEnabled(true);
-    const PerfCounterValues values = ReadThreadPerfCounters();
-    EXPECT_FALSE(values.valid);
-  }
-}
-
-TEST_F(ObservabilityTest, PerfCounterScopeAccumulateForm) {
-  SetProfilingEnabled(true);
-  PerfCounterValues out;
-  {
-    PerfCounterScope scope("obs_test", &out);
-    // Burn a few instructions so a live counter has something to see.
-    volatile std::int64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-  }
-  if (PerfCountersSupported()) {
-    EXPECT_TRUE(out.valid);
-    EXPECT_GT(out.cycles, 0);
-    EXPECT_GT(out.instructions, 0);
-  } else {
-    EXPECT_FALSE(out.valid);
-    EXPECT_EQ(out.cycles, 0);
-  }
-}
-
-TEST_F(ObservabilityTest, PerfCounterScopeRegistryForm) {
-  SetProfilingEnabled(true);
-  {
-    PerfCounterScope scope("obs_registry");
-    volatile std::int64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-  }
-  Counter* scopes = GlobalMetrics().GetCounter("profile.obs_registry.scopes");
-  Counter* cycles = GlobalMetrics().GetCounter("profile.obs_registry.cycles");
-  if (PerfCountersSupported()) {
-    EXPECT_EQ(scopes->value(), 1);
-    EXPECT_GT(cycles->value(), 0);
-  } else {
-    // Fallback: the scope disarms, nothing accumulates — and nothing
-    // crashes.
-    EXPECT_EQ(scopes->value(), 0);
-    EXPECT_EQ(cycles->value(), 0);
-  }
-}
-
-TEST_F(ObservabilityTest, PerfCounterValuesArithmetic) {
-  PerfCounterValues a;
-  a.cycles = 100;
-  a.instructions = 250;
-  a.llc_misses = 7;
-  a.stalled_cycles = 20;
-  a.valid = true;
-  PerfCounterValues b;
-  b.cycles = 40;
-  b.instructions = 50;
-  b.llc_misses = 2;
-  b.stalled_cycles = 5;
-  b.valid = true;
-
-  const PerfCounterValues delta = a - b;
-  EXPECT_EQ(delta.cycles, 60);
-  EXPECT_EQ(delta.instructions, 200);
-  EXPECT_EQ(delta.llc_misses, 5);
-  EXPECT_EQ(delta.stalled_cycles, 15);
-
-  PerfCounterValues sum = b;
-  sum += delta;
-  EXPECT_EQ(sum.cycles, a.cycles);
-  EXPECT_EQ(sum.instructions, a.instructions);
-
-  EXPECT_DOUBLE_EQ(a.ipc(), 2.5);
-  PerfCounterValues zero;
-  EXPECT_DOUBLE_EQ(zero.ipc(), 0.0);  // no division by zero cycles
-}
-
-TEST_F(ObservabilityTest, ProfilingReportJsonShape) {
-  SetProfilingEnabled(true);
-  const JsonValue report = ProfilingReportJson();
-  ASSERT_TRUE(report.is_object());
-  const JsonValue* available = report.Find("available");
-  const JsonValue* enabled = report.Find("enabled");
-  ASSERT_NE(available, nullptr);
-  ASSERT_NE(enabled, nullptr);
-  EXPECT_TRUE(available->is_bool());
-  EXPECT_TRUE(enabled->as_bool());
-  if (!available->as_bool()) {
-    const JsonValue* reason = report.Find("fallback_reason");
-    ASSERT_NE(reason, nullptr);
-    EXPECT_FALSE(reason->as_string().empty());
-  }
 }
 
 // --- analytic kernel work (roofline inputs) --------------------------
@@ -634,10 +518,9 @@ TEST_F(ObservabilityTest, FullPlaneDoesNotChangePregelLogits) {
       RunInferTurboPregel(dataset.graph, *model, options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
 
-  // Everything on at once: metrics, tracing, profiling, flight ring.
+  // Everything on at once: metrics, tracing, flight ring.
   SetMetricsEnabled(true);
   SetTracingEnabled(true);
-  SetProfilingEnabled(true);
   SetFlightRecorderEnabled(true);
   const Result<InferenceResult> observed =
       RunInferTurboPregel(dataset.graph, *model, options);
@@ -659,7 +542,6 @@ TEST_F(ObservabilityTest, FullPlaneDoesNotChangeMapReduceLogits) {
 
   SetMetricsEnabled(true);
   SetTracingEnabled(true);
-  SetProfilingEnabled(true);
   SetFlightRecorderEnabled(true);
   const Result<InferenceResult> observed =
       RunInferTurboMapReduce(dataset.graph, *model, options);
