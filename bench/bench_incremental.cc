@@ -107,6 +107,10 @@ int Main(int argc, const char* const argv[]) {
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path =
       flags->GetString("out", "BENCH_incremental.json");
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
   const std::int64_t timed_iters = quick ? 1 : 3;
 
   bench::PrintHeader("Extension: incremental inference",

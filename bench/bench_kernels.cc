@@ -326,6 +326,10 @@ int Main(int argc, char** argv) {
 
   Harness harness;
   harness.thread_set = ParseThreadSet(flags->GetString("threads", "1,2,8"));
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
   harness.timing.min_seconds = quick ? 0.02 : 0.3;
   harness.timing.max_iters = quick ? 20 : 200;
 

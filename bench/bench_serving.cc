@@ -128,6 +128,10 @@ int Main(int argc, const char* const argv[]) {
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_serving.json");
   const std::int64_t num_threads = flags->GetInt("threads", 4);
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
   const std::int64_t serial_queries = quick ? 200 : 1000;
   const std::int64_t queries_per_thread = quick ? 300 : 2000;
 

@@ -206,6 +206,10 @@ int Main(int argc, const char* const argv[]) {
   const bool overlap_gate = flags->GetBool("overlap-gate", false);
   const double overlap_tolerance =
       flags->GetDouble("overlap-tolerance", 0.10);
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
 
   TimingOptions timing;
   if (quick) {

@@ -659,12 +659,10 @@ int Main(int argc, const char* const argv[]) {
   }();
   // A flag the chosen mode never read is misspelled or retired: fail
   // loudly instead of having silently run on defaults.
-  if (const std::vector<std::string> unread = flags->UnreadKeys();
-      rc == 0 && !unread.empty()) {
-    for (const std::string& key : unread) {
-      std::fprintf(stderr, "unknown flag --%s for --mode=%s\n", key.c_str(),
-                   mode.empty() ? "demo" : mode.c_str());
-    }
+  if (const Status unread = flags->CheckAllRead(
+          "--mode=" + (mode.empty() ? std::string("demo") : mode));
+      rc == 0 && !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
     rc = 2;
   }
   if (rc != 0 &&

@@ -80,4 +80,14 @@ std::vector<std::string> FlagParser::UnreadKeys() const {
   return keys;
 }
 
+Status FlagParser::CheckAllRead(const std::string& context) const {
+  std::string message;
+  for (const std::string& key : UnreadKeys()) {
+    if (!message.empty()) message += "\n";
+    message += "unknown flag --" + key;
+    if (!context.empty()) message += " for " + context;
+  }
+  return message.empty() ? Status::OK() : Status::InvalidArgument(message);
+}
+
 }  // namespace inferturbo

@@ -47,6 +47,11 @@ class FlagParser {
   /// for, in key order: once a program has read its options, the flags
   /// it does not know.
   std::vector<std::string> UnreadKeys() const;
+  /// OK when every flag given was read; otherwise InvalidArgument whose
+  /// message has one "unknown flag --KEY" line per unread key, each
+  /// followed by " for `context`" when a context is given. Programs
+  /// call it once they have read all their flags and exit 2 on error.
+  Status CheckAllRead(const std::string& context = "") const;
 
  private:
   /// The raw value of `key`, or null; records the key as read.

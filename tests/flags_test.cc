@@ -85,6 +85,21 @@ TEST(FlagParserTest, UnreadKeysAreTheFlagsNoGetterAskedFor) {
   EXPECT_EQ(flags.UnreadKeys(), (std::vector<std::string>{"bogus_flag"}));
 }
 
+TEST(FlagParserTest, CheckAllReadNamesEveryUnreadFlag) {
+  const FlagParser flags = MustParse({"--out=x", "--b=1", "--a=2"});
+  EXPECT_EQ(flags.GetString("out", ""), "x");
+  const Status status = flags.CheckAllRead("--mode=infer");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "unknown flag --a for --mode=infer\n"
+            "unknown flag --b for --mode=infer");
+  EXPECT_EQ(flags.CheckAllRead().message(),
+            "unknown flag --a\nunknown flag --b");
+  EXPECT_TRUE(flags.Has("a"));
+  EXPECT_TRUE(flags.Has("b"));
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
 std::uint64_t MustParseBytes(std::string_view text) {
   const Result<std::uint64_t> parsed = ParseByteSize(text);
   EXPECT_TRUE(parsed.ok()) << "'" << text << "': "

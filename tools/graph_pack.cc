@@ -42,6 +42,13 @@ int Main(int argc, const char* const argv[]) {
   const std::string nodes = flags->GetString("nodes", "");
   const std::string edges = flags->GetString("edges", "");
   const std::string out = flags->GetString("out", "");
+  ShardWriterOptions writer;
+  writer.num_partitions = flags->GetInt("partitions", 8);
+  const bool verify = flags->GetBool("verify", false);
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
   if (nodes.empty() || edges.empty() || out.empty()) {
     std::fprintf(stderr,
                  "usage: graph_pack --nodes=NODES.tsv --edges=EDGES.tsv "
@@ -55,8 +62,6 @@ int Main(int argc, const char* const argv[]) {
     return 1;
   }
 
-  ShardWriterOptions writer;
-  writer.num_partitions = flags->GetInt("partitions", 8);
   const Result<ShardMeta> meta = WriteGraphShards(*graph, out, writer);
   if (!meta.ok()) {
     std::fprintf(stderr, "%s\n", meta.status().ToString().c_str());
@@ -67,7 +72,7 @@ int Main(int argc, const char* const argv[]) {
               static_cast<long long>(meta->num_edges),
               static_cast<long long>(meta->num_partitions()), out.c_str());
 
-  if (flags->GetBool("verify", false)) {
+  if (verify) {
     ShardStoreOptions store_options;
     store_options.directory = out;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));

@@ -48,8 +48,13 @@ int Main(int argc, const char* const argv[]) {
 
   const std::string lint = flags->GetString("lint", "");
   if (!lint.empty()) {
-    const Result<std::int64_t> documents =
-        LintJsonFile(lint, flags->GetString("schema", ""));
+    const std::string schema = flags->GetString("schema", "");
+    if (const Status unread = flags->CheckAllRead("--lint");
+        !unread.ok()) {
+      std::fprintf(stderr, "%s\n", unread.message().c_str());
+      return 2;
+    }
+    const Result<std::int64_t> documents = LintJsonFile(lint, schema);
     if (!documents.ok()) {
       std::fprintf(stderr, "report_diff: lint failed: %s\n",
                    documents.status().ToString().c_str());
@@ -62,6 +67,18 @@ int Main(int argc, const char* const argv[]) {
 
   const std::string baseline = flags->GetString("baseline", "");
   const std::string current = flags->GetString("current", "");
+  ReportDiffOptions options;
+  options.tolerance = flags->GetDouble("tolerance", options.tolerance);
+  options.abs_tolerance =
+      flags->GetDouble("abs-tolerance", options.abs_tolerance);
+  options.key_filters = SplitCommas(flags->GetString("keys", ""));
+  options.fail_on_missing = flags->GetBool("fail-on-missing", false);
+  options.min_compared =
+      flags->GetInt("min-compared", options.min_compared);
+  if (const Status unread = flags->CheckAllRead(); !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
   if (baseline.empty() || current.empty()) {
     std::fprintf(
         stderr,
@@ -72,15 +89,6 @@ int Main(int argc, const char* const argv[]) {
         "       report_diff --lint=FILE [--schema=NAME]\n");
     return 2;
   }
-
-  ReportDiffOptions options;
-  options.tolerance = flags->GetDouble("tolerance", options.tolerance);
-  options.abs_tolerance =
-      flags->GetDouble("abs-tolerance", options.abs_tolerance);
-  options.key_filters = SplitCommas(flags->GetString("keys", ""));
-  options.fail_on_missing = flags->GetBool("fail-on-missing", false);
-  options.min_compared =
-      flags->GetInt("min-compared", options.min_compared);
 
   const Result<ReportDiffResult> result =
       DiffReportFiles(baseline, current, options);
