@@ -12,13 +12,12 @@ namespace kernels {
 
 /// The fast compute-kernel layer: register-tiled, ISA-dispatched
 /// matmuls and range-partitioned parallel segment/row ops, their chunks
-/// scheduled on DefaultThreadPool(). In the default deterministic tier
-/// every kernel is BIT-IDENTICAL to its scalar twin in
-/// kernels::reference at any thread count — parallel partitions assign
-/// each output element to exactly one task in a fixed order,
-/// accumulation order per output element matches the reference
-/// (ascending k, skip-on-zero over A), and no FMA contraction is
-/// allowed in any instantiation. The crash-sweep and cross-backend
+/// scheduled on DefaultThreadPool(). Every kernel is BIT-IDENTICAL to
+/// its scalar twin in kernels::reference at any thread count and on
+/// every ISA — parallel partitions assign each output element to
+/// exactly one task in a fixed order, accumulation order per output
+/// element matches the reference (ascending k, skip-on-zero over A),
+/// and no FMA contraction is allowed in any instantiation. The crash-sweep and cross-backend
 /// equivalence suites rely on this contract; kernels_test enforces it.
 ///
 /// Shape agreement is the caller's contract (src/tensor/ops.h checks
