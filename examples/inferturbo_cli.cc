@@ -69,6 +69,8 @@
 #include <cstring>
 #include <filesystem>
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -101,28 +103,198 @@
 namespace inferturbo {
 namespace {
 
-ModelConfig ModelConfigFromFlags(const FlagParser& flags,
-                                 const Graph& graph) {
+// Every mode reads all of its flags into one of the structs below
+// before anything runs, so a misspelled or retired flag (or a malformed
+// value) exits 2 before --dir is created or a file is written.
+
+/// Model shape; train, infer and serve must be given the same values.
+struct ModelFlags {
+  std::string kind;
+  /// input_dim and num_classes come from the graph (ConfigFor).
   ModelConfig config;
-  config.input_dim = graph.feature_dim();
-  config.hidden_dim = flags.GetInt("hidden", 32);
-  config.num_classes = graph.num_classes();
-  config.num_layers = flags.GetInt("layers", 2);
-  config.heads = flags.GetInt("heads", 4);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
-  return config;
+
+  static ModelFlags Read(const FlagParser& flags) {
+    ModelFlags out;
+    out.kind = flags.GetString("model", "sage");
+    out.config.hidden_dim = flags.GetInt("hidden", 32);
+    out.config.num_layers = flags.GetInt("layers", 2);
+    out.config.heads = flags.GetInt("heads", 4);
+    out.config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
+    return out;
+  }
+
+  ModelConfig ConfigFor(const Graph& graph) const {
+    ModelConfig out = config;
+    out.input_dim = graph.feature_dim();
+    out.num_classes = graph.num_classes();
+    return out;
+  }
+};
+
+/// Rebuilds the trained model from `dir`, or says why it cannot.
+Result<std::unique_ptr<GnnModel>> LoadTrainedModel(const ModelFlags& flags,
+                                                   const Graph& graph,
+                                                   const std::string& dir) {
+  Result<std::unique_ptr<GnnModel>> model =
+      MakeModel(flags.kind, flags.ConfigFor(graph));
+  if (!model.ok() || !(*model)->LoadParameters(dir + "/model.bin").ok()) {
+    return Status::InvalidArgument(
+        "cannot rebuild the trained model (same flags as --mode=train "
+        "required)");
+  }
+  return model;
 }
 
-int Generate(const FlagParser& flags, const std::string& dir) {
+struct GenerateFlags {
   PlantedGraphConfig config;
-  config.num_nodes = flags.GetInt("nodes", 5000);
-  config.avg_degree = flags.GetDouble("avg_degree", 10.0);
-  config.num_classes = flags.GetInt("classes", 6);
-  config.feature_dim = flags.GetInt("features", 16);
-  config.homophily = flags.GetDouble("homophily", 0.75);
-  config.in_skew_alpha = flags.GetDouble("in_skew", 0.0);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
-  const Dataset dataset = MakePlantedDataset("cli", config);
+
+  static GenerateFlags Read(const FlagParser& flags) {
+    GenerateFlags out;
+    out.config.num_nodes = flags.GetInt("nodes", 5000);
+    out.config.avg_degree = flags.GetDouble("avg_degree", 10.0);
+    out.config.num_classes = flags.GetInt("classes", 6);
+    out.config.feature_dim = flags.GetInt("features", 16);
+    out.config.homophily = flags.GetDouble("homophily", 0.75);
+    out.config.in_skew_alpha = flags.GetDouble("in_skew", 0.0);
+    out.config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
+    return out;
+  }
+};
+
+struct TrainFlags {
+  ModelFlags model;
+  TrainerOptions trainer;
+
+  static TrainFlags Read(const FlagParser& flags) {
+    TrainFlags out;
+    out.model = ModelFlags::Read(flags);
+    out.trainer.epochs = flags.GetInt("epochs", 10);
+    out.trainer.batch_size = flags.GetInt("batch", 64);
+    out.trainer.fanout = flags.GetInt("fanout", 10);
+    out.trainer.learning_rate =
+        static_cast<float>(flags.GetDouble("lr", 1e-2));
+    out.trainer.verbose = flags.GetBool("verbose", false);
+    return out;
+  }
+};
+
+struct InferFlags {
+  ModelFlags model;
+  /// Engine options; fault_plan points into `fault_plan` when set.
+  InferTurboOptions options;
+  /// Compute-side chaos schedule (--fault_plan), owned here so the
+  /// realized events can be printed after the run.
+  std::shared_ptr<FaultPlan> fault_plan;
+  std::string backend;
+  /// --packed=DIR: stream the graph from a graph_pack shard directory.
+  std::string packed;
+  std::uint64_t storage_memory_budget = 0;
+  std::int64_t shards = 0;
+  std::string metrics_out;
+  /// Every flag given, for the run report.
+  std::map<std::string, std::string> config;
+
+  static Result<InferFlags> Read(const FlagParser& flags) {
+    InferFlags out;
+    out.model = ModelFlags::Read(flags);
+    InferTurboOptions& options = out.options;
+    options.num_workers = flags.GetInt("workers", 8);
+    options.strategies.partial_gather = flags.GetBool("partial_gather", true);
+    options.strategies.broadcast = flags.GetBool("broadcast", false);
+    options.strategies.shadow_nodes = flags.GetBool("shadow_nodes", false);
+    options.strategies.lambda = flags.GetDouble("lambda", 0.1);
+    options.export_embeddings = flags.GetBool("embeddings", false);
+    // Durable checkpoints: --checkpoint_dir enables them; --resume picks
+    // up a previously killed job from its newest valid checkpoint.
+    options.checkpoint_directory = flags.GetString("checkpoint_dir", "");
+    options.checkpoint_interval = flags.GetInt("checkpoint_interval", 0);
+    options.checkpoint_keep_last = flags.GetInt("keep_last", 2);
+    options.resume_from = flags.GetBool("resume", false);
+    // Task supervision + compute-side chaos. Any of these flags turns
+    // the TaskSupervisor on; --fault_plan additionally injects the given
+    // crash/transient/straggle schedule (see ParseFaultPlan for the
+    // grammar, e.g. "crash@compute:1:0;straggle@reduce:*:2~80").
+    const std::string fault_spec = flags.GetString("fault_plan", "");
+    if (!fault_spec.empty()) {
+      out.fault_plan = std::make_shared<FaultPlan>();
+      INFERTURBO_RETURN_NOT_OK(
+          ParseFaultPlan(fault_spec, out.fault_plan.get()));
+      options.fault_plan = out.fault_plan.get();
+    }
+    options.supervision.task_deadline_seconds =
+        flags.GetDouble("task_deadline_ms", 0.0) / 1000.0;
+    options.supervision.max_task_retries =
+        static_cast<int>(flags.GetInt("max_task_retries", 3));
+    options.supervision.speculative_execution =
+        flags.GetBool("speculative_execution", false);
+    options.supervise_tasks =
+        flags.GetBool("supervise_tasks", false) ||
+        flags.Has("task_deadline_ms") || flags.Has("max_task_retries") ||
+        flags.Has("speculative_execution");
+    out.backend = flags.GetString("backend", "pregel");
+    // --packed=DIR streams the graph out-of-core instead of the resident
+    // copy; the resident load still supplies model dims and the accuracy
+    // labels. --storage_memory_budget caps resident shard bytes
+    // ("512MB", "4GiB").
+    out.packed = flags.GetString("packed", "");
+    if (!out.packed.empty()) {
+      INFERTURBO_ASSIGN_OR_RETURN(out.storage_memory_budget,
+                                  flags.GetBytes("storage_memory_budget", 0));
+    }
+    out.shards = flags.GetInt("shards", 4);
+    out.metrics_out = flags.GetString("metrics_out", "");
+    out.config = flags.values();
+    return out;
+  }
+};
+
+struct ServeFlags {
+  ModelFlags model;
+  ServingOptions serving;
+  double stats_interval = 0.0;
+  std::string timeline_out;
+  std::int64_t num_threads = 0;
+  std::int64_t requests_per_thread = 0;
+  std::int64_t nodes_per_query = 0;
+  std::int64_t num_deltas = 0;
+  double delta_interval_seconds = 0.0;
+  DeltaStream::Options delta;
+  bool verify = true;
+  std::string metrics_out;
+  /// Every flag given, for the run report.
+  std::map<std::string, std::string> config;
+
+  static ServeFlags Read(const FlagParser& flags) {
+    ServeFlags out;
+    out.model = ModelFlags::Read(flags);
+    out.serving.batch_window_seconds =
+        flags.GetDouble("serve_batch_window", 1.0) / 1000.0;
+    out.serving.max_batch = flags.GetInt("serve_max_batch", 64);
+    out.serving.cache_logits = flags.GetBool("serve_cache", true);
+    out.stats_interval = flags.GetDouble("stats_interval", 0.0);
+    out.timeline_out = flags.GetString("timeline_out", "");
+    out.num_threads =
+        std::max<std::int64_t>(1, flags.GetInt("serve_threads", 4));
+    out.requests_per_thread =
+        std::max<std::int64_t>(1, flags.GetInt("serve_requests", 500));
+    out.nodes_per_query =
+        std::max<std::int64_t>(1, flags.GetInt("serve_nodes_per_query", 4));
+    out.num_deltas = flags.GetInt("serve_deltas", 8);
+    out.delta_interval_seconds =
+        flags.GetDouble("delta_interval_ms", 5.0) / 1000.0;
+    out.delta.feature_updates = flags.GetInt("delta_features", 4);
+    out.delta.new_edges = flags.GetInt("delta_edges", 2);
+    out.delta.zipf_alpha = flags.GetDouble("zipf_alpha", 1.1);
+    out.delta.seed = out.model.config.seed + 7777;
+    out.verify = flags.GetBool("serve_verify", true);
+    out.metrics_out = flags.GetString("metrics_out", "");
+    out.config = flags.values();
+    return out;
+  }
+};
+
+int Generate(const GenerateFlags& flags, const std::string& dir) {
+  const Dataset dataset = MakePlantedDataset("cli", flags.config);
   if (!WriteNodeTable(dataset.graph, dir + "/nodes.tsv").ok() ||
       !WriteEdgeTable(dataset.graph, dir + "/edges.tsv").ok()) {
     std::fprintf(stderr, "failed to write tables under %s\n", dir.c_str());
@@ -135,24 +307,23 @@ int Generate(const FlagParser& flags, const std::string& dir) {
   return 0;
 }
 
-int Train(const FlagParser& flags, const std::string& dir) {
+int Train(const TrainFlags& flags, const std::string& dir) {
   const Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
+      MakeModel(flags.model.kind, flags.model.ConfigFor(*graph));
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
   }
-  TrainerOptions options;
+  TrainerOptions options = flags.trainer;
   // Tables carry no train/val/test split; draw a labeled subset.
   if (graph->train_nodes().empty()) {
-    Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed", 11)));
+    Rng rng(flags.model.config.seed);
     const std::int64_t count =
         std::max<std::int64_t>(32, graph->num_nodes() / 5);
     for (std::int64_t i = 0; i < count; ++i) {
@@ -164,12 +335,6 @@ int Train(const FlagParser& flags, const std::string& dir) {
         std::unique(options.train_nodes.begin(), options.train_nodes.end()),
         options.train_nodes.end());
   }
-  options.epochs = flags.GetInt("epochs", 10);
-  options.batch_size = flags.GetInt("batch", 64);
-  options.fanout = flags.GetInt("fanout", 10);
-  options.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 1e-2));
-  options.verbose = flags.GetBool("verbose", false);
   MiniBatchTrainer trainer(&*graph, model->get(), options);
   const Result<TrainReport> report = trainer.Train();
   if (!report.ok()) {
@@ -183,40 +348,27 @@ int Train(const FlagParser& flags, const std::string& dir) {
   }
   std::printf("trained %s for %lld steps (final loss %.4f); saved model + "
               "signature file\n",
-              kind.c_str(), static_cast<long long>(report->steps),
+              flags.model.kind.c_str(),
+              static_cast<long long>(report->steps),
               report->final_loss);
   return 0;
 }
 
-int Infer(const FlagParser& flags, const std::string& dir) {
+int Infer(const InferFlags& flags, const std::string& dir) {
   const Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
-  if (!model.ok() || !(*model)->LoadParameters(dir + "/model.bin").ok()) {
-    std::fprintf(stderr, "cannot rebuild the trained model (same flags as "
-                         "--mode=train required)\n");
+      LoadTrainedModel(flags.model, *graph, dir);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().message().c_str());
     return 1;
   }
 
-  InferTurboOptions options;
-  options.num_workers = flags.GetInt("workers", 8);
-  options.strategies.partial_gather = flags.GetBool("partial_gather", true);
-  options.strategies.broadcast = flags.GetBool("broadcast", false);
-  options.strategies.shadow_nodes = flags.GetBool("shadow_nodes", false);
-  options.strategies.lambda = flags.GetDouble("lambda", 0.1);
-  options.export_embeddings = flags.GetBool("embeddings", false);
-  // Durable checkpoints: --checkpoint_dir enables them; --resume picks
-  // up a previously killed job from its newest valid checkpoint.
-  options.checkpoint_directory = flags.GetString("checkpoint_dir", "");
-  options.checkpoint_interval = flags.GetInt("checkpoint_interval", 0);
-  options.checkpoint_keep_last = flags.GetInt("keep_last", 2);
-  options.resume_from = flags.GetBool("resume", false);
+  const InferTurboOptions& options = flags.options;
   if (!options.checkpoint_directory.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options.checkpoint_directory, ec);
@@ -227,62 +379,12 @@ int Infer(const FlagParser& flags, const std::string& dir) {
       return 1;
     }
   }
-  // Task supervision + compute-side chaos. Any of these flags turns
-  // the TaskSupervisor on; --fault_plan additionally injects the given
-  // crash/transient/straggle schedule (see ParseFaultPlan for the
-  // grammar, e.g. "crash@compute:1:0;straggle@reduce:*:2~80").
-  FaultPlan fault_plan;
-  const std::string fault_spec = flags.GetString("fault_plan", "");
-  if (!fault_spec.empty()) {
-    const Status parsed = ParseFaultPlan(fault_spec, &fault_plan);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-      return 2;
-    }
-    options.fault_plan = &fault_plan;
-  }
-  options.supervision.task_deadline_seconds =
-      flags.GetDouble("task_deadline_ms", 0.0) / 1000.0;
-  options.supervision.max_task_retries =
-      static_cast<int>(flags.GetInt("max_task_retries", 3));
-  options.supervision.speculative_execution =
-      flags.GetBool("speculative_execution", false);
-  options.supervise_tasks =
-      flags.GetBool("supervise_tasks", false) ||
-      flags.Has("task_deadline_ms") || flags.Has("max_task_retries") ||
-      flags.Has("speculative_execution");
-  const std::string backend = flags.GetString("backend", "pregel");
-
-  // --packed=DIR streams the graph from a graph_pack shard directory
-  // (out-of-core) instead of the resident copy; the resident load above
-  // still supplies model dims and the accuracy labels.
-  // --storage_memory_budget caps resident shard bytes ("512MB", "4GiB").
-  // --pipeline_slots sets the streaming pipeline's in-flight window
-  // (2 = double buffering, 0 = demand loads); --storage_pinned_budget +
-  // --pin_hubs keep the hub-heavy shards resident across the sweep.
-  const std::string packed = flags.GetString("packed", "");
+  const std::string& backend = flags.backend;
   Result<InferenceResult> result = Status::Internal("unset");
-  options.storage_pipeline_slots =
-      static_cast<int>(flags.GetInt("pipeline_slots", 2));
-  options.pin_hub_shards = flags.GetBool("pin_hubs", false);
-  if (!packed.empty()) {
-    const Result<std::uint64_t> budget =
-        flags.GetBytes("storage_memory_budget", 0);
-    if (!budget.ok()) {
-      std::fprintf(stderr, "%s\n", budget.status().ToString().c_str());
-      return 1;
-    }
-    const Result<std::uint64_t> pinned_budget =
-        flags.GetBytes("storage_pinned_budget", 0);
-    if (!pinned_budget.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   pinned_budget.status().ToString().c_str());
-      return 1;
-    }
+  if (!flags.packed.empty()) {
     ShardStoreOptions store_options;
-    store_options.directory = packed;
-    store_options.memory_budget_bytes = *budget;
-    store_options.pinned_budget_bytes = *pinned_budget;
+    store_options.directory = flags.packed;
+    store_options.memory_budget_bytes = flags.storage_memory_budget;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));
     if (!store.ok()) {
       std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
@@ -314,7 +416,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   const std::string out_dir = dir + "/output";
   std::filesystem::create_directories(out_dir);
   OutputWriterOptions writer;
-  writer.num_shards = flags.GetInt("shards", 4);
+  writer.num_shards = flags.shards;
   if (!WriteInferenceOutput(*result, out_dir, writer).ok()) {
     std::fprintf(stderr, "failed to write output shards\n");
     return 1;
@@ -341,27 +443,27 @@ int Infer(const FlagParser& flags, const std::string& dir) {
                 static_cast<long long>(sup.injected_delays),
                 static_cast<long long>(sup.speculative_commits));
     // The realized schedule, for deterministic replay of this run.
-    for (const TaskFaultEvent& event : fault_plan.realized_events()) {
-      INFERTURBO_LOG(Info) << "fault_plan realized: "
-                           << TaskFaultEventToString(event);
+    if (flags.fault_plan != nullptr) {
+      for (const TaskFaultEvent& event :
+           flags.fault_plan->realized_events()) {
+        INFERTURBO_LOG(Info) << "fault_plan realized: "
+                             << TaskFaultEventToString(event);
+      }
     }
   }
   // --metrics_out: one JSON document unifying job + storage accounting,
   // the metric-registry snapshot, and the flags this run was given.
-  const std::string metrics_out = flags.GetString("metrics_out", "");
-  if (!metrics_out.empty()) {
+  if (!flags.metrics_out.empty()) {
     RunReportOptions report;
     report.backend = backend;
-    for (const auto& [key, value] : flags.values()) {
-      report.config[key] = value;
-    }
+    report.config = flags.config;
     const Status status =
-        WriteRunReport(metrics_out, result->metrics, report);
+        WriteRunReport(flags.metrics_out, result->metrics, report);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("run report -> %s\n", metrics_out.c_str());
+    std::printf("run report -> %s\n", flags.metrics_out.c_str());
   }
   if (!graph->labels().empty()) {
     std::vector<NodeId> all(static_cast<std::size_t>(graph->num_nodes()));
@@ -372,47 +474,39 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   return 0;
 }
 
-int Serve(const FlagParser& flags, const std::string& dir) {
+int Serve(const ServeFlags& flags, const std::string& dir) {
   Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
-  if (!model.ok() || !(*model)->LoadParameters(dir + "/model.bin").ok()) {
-    std::fprintf(stderr, "cannot rebuild the trained model (same flags as "
-                         "--mode=train required)\n");
+      LoadTrainedModel(flags.model, *graph, dir);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().message().c_str());
     return 1;
   }
   // Percentiles come from the registry's histograms; serve mode always
   // wants them, not only when --metrics_out is set.
   SetMetricsEnabled(true);
 
-  ServingOptions options;
-  options.batch_window_seconds =
-      flags.GetDouble("serve_batch_window", 1.0) / 1000.0;
-  options.max_batch = flags.GetInt("serve_max_batch", 64);
-  options.cache_logits = flags.GetBool("serve_cache", true);
   std::printf("warming store: full %lld-layer forward over %lld nodes...\n",
               static_cast<long long>((*model)->num_layers()),
               static_cast<long long>(graph->num_nodes()));
-  ServingEngine engine(model->get(), std::move(*graph), options);
+  ServingEngine engine(model->get(), std::move(*graph), flags.serving);
 
   // --stats_interval / --timeline_out: a sampler thread appends one
   // run_timeline.v1 JSONL line per interval while the workload runs —
   // registry counter deltas plus the serving-specific gauges below.
   std::optional<TimelineSampler> timeline;
-  const double stats_interval = flags.GetDouble("stats_interval", 0.0);
-  std::string timeline_out = flags.GetString("timeline_out", "");
-  if (stats_interval > 0.0 || !timeline_out.empty()) {
+  std::string timeline_out = flags.timeline_out;
+  if (flags.stats_interval > 0.0 || !timeline_out.empty()) {
     if (timeline_out.empty()) timeline_out = dir + "/timeline.jsonl";
     TimelineOptions timeline_options;
     timeline_options.path = timeline_out;
     timeline_options.interval_seconds =
-        stats_interval > 0.0 ? stats_interval : 1.0;
+        flags.stats_interval > 0.0 ? flags.stats_interval : 1.0;
     timeline_options.extra = [&engine] {
       const ServingStats s = engine.stats();
       return JsonValue(JsonValue::Object{
@@ -430,33 +524,21 @@ int Serve(const FlagParser& flags, const std::string& dir) {
     timeline.emplace(timeline_options);
   }
 
-  const std::int64_t num_threads =
-      std::max<std::int64_t>(1, flags.GetInt("serve_threads", 4));
-  const std::int64_t requests_per_thread =
-      std::max<std::int64_t>(1, flags.GetInt("serve_requests", 500));
-  const std::int64_t nodes_per_query =
-      std::max<std::int64_t>(1, flags.GetInt("serve_nodes_per_query", 4));
-  const double zipf_alpha = flags.GetDouble("zipf_alpha", 1.1);
-  const std::int64_t num_deltas = flags.GetInt("serve_deltas", 8);
-  const double delta_interval_seconds =
-      flags.GetDouble("delta_interval_ms", 5.0) / 1000.0;
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 11));
-
   // Queries hit only the warm-start id range: the zipf domain is fixed
   // up front while the delta stream may append nodes concurrently.
   const std::int64_t query_domain = engine.graph_snapshot()->num_nodes();
   std::atomic<std::int64_t> query_failures{0};
   WallTimer wall;
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(num_threads));
-  for (std::int64_t t = 0; t < num_threads; ++t) {
+  workers.reserve(static_cast<std::size_t>(flags.num_threads));
+  for (std::int64_t t = 0; t < flags.num_threads; ++t) {
     workers.emplace_back([&, t] {
-      ZipfQueryStream stream(query_domain, zipf_alpha,
-                             seed + static_cast<std::uint64_t>(t) * 1001);
-      for (std::int64_t i = 0; i < requests_per_thread; ++i) {
+      ZipfQueryStream stream(
+          query_domain, flags.delta.zipf_alpha,
+          flags.model.config.seed + static_cast<std::uint64_t>(t) * 1001);
+      for (std::int64_t i = 0; i < flags.requests_per_thread; ++i) {
         const Result<QueryResponse> response =
-            engine.Query(stream.Next(nodes_per_query));
+            engine.Query(stream.Next(flags.nodes_per_query));
         if (!response.ok()) {
           query_failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -465,14 +547,9 @@ int Serve(const FlagParser& flags, const std::string& dir) {
   }
 
   // Background writer: live graph updates race the query threads.
-  DeltaStream::Options delta_options;
-  delta_options.feature_updates = flags.GetInt("delta_features", 4);
-  delta_options.new_edges = flags.GetInt("delta_edges", 2);
-  delta_options.zipf_alpha = zipf_alpha;
-  delta_options.seed = seed + 7777;
-  DeltaStream delta_stream(*engine.graph_snapshot(), delta_options);
+  DeltaStream delta_stream(*engine.graph_snapshot(), flags.delta);
   std::int64_t delta_failures = 0;
-  for (std::int64_t d = 0; d < num_deltas; ++d) {
+  for (std::int64_t d = 0; d < flags.num_deltas; ++d) {
     const Result<DeltaApplied> applied =
         engine.ApplyMutation(delta_stream.Next());
     if (!applied.ok()) {
@@ -486,9 +563,9 @@ int Serve(const FlagParser& flags, const std::string& dir) {
                          << applied->invalidated_cache_rows
                          << " cached logits rows in " << applied->seconds
                          << "s";
-    if (delta_interval_seconds > 0.0 && d + 1 < num_deltas) {
+    if (flags.delta_interval_seconds > 0.0 && d + 1 < flags.num_deltas) {
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(delta_interval_seconds));
+          std::chrono::duration<double>(flags.delta_interval_seconds));
     }
   }
   for (std::thread& worker : workers) worker.join();
@@ -507,7 +584,7 @@ int Serve(const FlagParser& flags, const std::string& dir) {
       "served %lld queries on %lld threads in %.3fs (%.0f qps), %lld "
       "batches (mean occupancy %.2f)\n",
       static_cast<long long>(stats.queries),
-      static_cast<long long>(num_threads), wall_seconds, qps,
+      static_cast<long long>(flags.num_threads), wall_seconds, qps,
       static_cast<long long>(stats.batches), stats.mean_batch_occupancy);
   std::printf(
       "latency p50 %.1fus  p95 %.1fus  p99 %.1fus; cache hit rate %.1f%% "
@@ -536,7 +613,7 @@ int Serve(const FlagParser& flags, const std::string& dir) {
   // change propagation use; the distributed backends match it within
   // the repo-wide logit tolerance, not bitwise (their partition-local
   // folds reassociate the gather sums).
-  if (flags.GetBool("serve_verify", true)) {
+  if (flags.verify) {
     const std::shared_ptr<const Graph> final_graph = engine.graph_snapshot();
     std::vector<NodeId> all(
         static_cast<std::size_t>(final_graph->num_nodes()));
@@ -564,8 +641,7 @@ int Serve(const FlagParser& flags, const std::string& dir) {
                 static_cast<long long>(served->epoch));
   }
 
-  const std::string metrics_out = flags.GetString("metrics_out", "");
-  if (!metrics_out.empty()) {
+  if (!flags.metrics_out.empty()) {
     ServingReport serving;
     serving.queries = stats.queries;
     serving.batches = stats.batches;
@@ -585,15 +661,14 @@ int Serve(const FlagParser& flags, const std::string& dir) {
     RunReportOptions report;
     report.backend = "serving";
     report.serving = &serving;
-    for (const auto& [key, value] : flags.values()) {
-      report.config[key] = value;
-    }
-    const Status status = WriteRunReport(metrics_out, JobMetrics{}, report);
+    report.config = flags.config;
+    const Status status =
+        WriteRunReport(flags.metrics_out, JobMetrics{}, report);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("run report -> %s\n", metrics_out.c_str());
+    std::printf("run report -> %s\n", flags.metrics_out.c_str());
   }
   return 0;
 }
@@ -605,29 +680,62 @@ int Main(int argc, const char* const argv[]) {
     return 2;
   }
   const std::string log_level = flags->GetString("log_level", "");
-  if (!log_level.empty()) {
-    LogLevel level;
-    if (!ParseLogLevel(log_level, &level)) {
-      std::fprintf(stderr,
-                   "unknown --log_level=%s (debug|info|warning|error)\n",
-                   log_level.c_str());
+  LogLevel level = LogLevel::kInfo;
+  if (!log_level.empty() && !ParseLogLevel(log_level, &level)) {
+    std::fprintf(stderr, "unknown --log_level=%s (debug|info|warning|error)\n",
+                 log_level.c_str());
+    return 2;
+  }
+  const int num_threads = static_cast<int>(flags->GetInt("num_threads", 0));
+  const std::string trace_out = flags->GetString("trace_out", "");
+  const bool metrics_on = !flags->GetString("metrics_out", "").empty();
+  const std::string flight_out = flags->GetString("flight_record_out", "");
+  const std::string dir = flags->GetString("dir", "/tmp/inferturbo_cli");
+  const std::string mode = flags->GetString("mode", "");
+  if (!mode.empty() && mode != "generate" && mode != "train" &&
+      mode != "infer" && mode != "serve") {
+    std::fprintf(stderr, "unknown --mode=%s (generate|train|infer|serve)\n",
+                 mode.c_str());
+    return 2;
+  }
+  // No --mode runs the demo: generate -> train -> infer.
+  const bool demo = mode.empty();
+  std::optional<GenerateFlags> generate;
+  std::optional<TrainFlags> train;
+  std::optional<InferFlags> infer;
+  std::optional<ServeFlags> serve;
+  if (demo || mode == "generate") generate = GenerateFlags::Read(*flags);
+  if (demo || mode == "train") train = TrainFlags::Read(*flags);
+  if (demo || mode == "infer") {
+    Result<InferFlags> read = InferFlags::Read(*flags);
+    if (!read.ok()) {
+      std::fprintf(stderr, "%s\n", read.status().ToString().c_str());
       return 2;
     }
-    SetLogLevel(level);
+    infer.emplace(std::move(*read));
   }
+  if (mode == "serve") serve = ServeFlags::Read(*flags);
+  // A flag the chosen mode never read is misspelled or retired: fail
+  // loudly before the mode runs on defaults.
+  if (const Status unread =
+          flags->CheckAllRead("--mode=" + (demo ? std::string("demo") : mode));
+      !unread.ok()) {
+    std::fprintf(stderr, "%s\n", unread.message().c_str());
+    return 2;
+  }
+
+  if (!log_level.empty()) SetLogLevel(level);
   // --num_threads bounds kernel fan-out; results are bit-identical at
   // any value.
   {
     kernels::KernelConfig config = kernels::GetKernelConfig();
-    config.max_threads = static_cast<int>(flags->GetInt("num_threads", 0));
+    config.max_threads = num_threads;
     kernels::SetKernelConfig(config);
   }
   // Telemetry is opt-in per run: tracing/metrics stay compiled-out-cheap
   // (a branch on a relaxed atomic) unless the flags ask for output.
-  const std::string trace_out = flags->GetString("trace_out", "");
   if (!trace_out.empty()) SetTracingEnabled(true);
-  if (!flags->GetString("metrics_out", "").empty()) SetMetricsEnabled(true);
-  const std::string flight_out = flags->GetString("flight_record_out", "");
+  if (metrics_on) SetMetricsEnabled(true);
   if (!flight_out.empty()) {
     // Non-empty path arms the recorder; the signal handler covers
     // fatal crashes, DumpFlightRecordOnError below covers clean
@@ -636,35 +744,16 @@ int Main(int argc, const char* const argv[]) {
     InstallFlightRecordSignalHandler();
   }
 
-  const std::string dir = flags->GetString("dir", "/tmp/inferturbo_cli");
   std::filesystem::create_directories(dir);
-  const std::string mode = flags->GetString("mode", "");
-  int rc = [&]() -> int {
-    if (mode == "generate") return Generate(*flags, dir);
-    if (mode == "train") return Train(*flags, dir);
-    if (mode == "infer") return Infer(*flags, dir);
-    if (mode == "serve") return Serve(*flags, dir);
-    if (!mode.empty()) {
-      std::fprintf(stderr,
-                   "unknown --mode=%s (generate|train|infer|serve)\n",
-                   mode.c_str());
-      return 2;
-    }
-    // Demo: chain all three.
+  if (demo) {
     std::printf("== demo: generate -> train -> infer under %s ==\n",
                 dir.c_str());
-    if (const int rc = Generate(*flags, dir); rc != 0) return rc;
-    if (const int rc = Train(*flags, dir); rc != 0) return rc;
-    return Infer(*flags, dir);
-  }();
-  // A flag the chosen mode never read is misspelled or retired: fail
-  // loudly instead of having silently run on defaults.
-  if (const Status unread = flags->CheckAllRead(
-          "--mode=" + (mode.empty() ? std::string("demo") : mode));
-      rc == 0 && !unread.ok()) {
-    std::fprintf(stderr, "%s\n", unread.message().c_str());
-    rc = 2;
   }
+  int rc = 0;
+  if (generate) rc = Generate(*generate, dir);
+  if (rc == 0 && train) rc = Train(*train, dir);
+  if (rc == 0 && infer) rc = Infer(*infer, dir);
+  if (rc == 0 && serve) rc = Serve(*serve, dir);
   if (rc != 0 &&
       DumpFlightRecordOnError("cli exit code " + std::to_string(rc))) {
     std::fprintf(stderr, "flight record -> %s\n", flight_out.c_str());

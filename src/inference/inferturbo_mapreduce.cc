@@ -156,14 +156,11 @@ class MrInferenceDriver {
         // loader thread fills partition p+1 while instance p computes,
         // handing off through an explicit ready-future (passthrough —
         // no thread — for in-memory views).
-        ShardPipeline pipeline(
-            view_, ShardPipelineOptions{options_.storage_pipeline_slots});
-        pipeline_ = &pipeline;
-        const Status map_status =
-            job.RunMap([this](std::int64_t instance, MrEmitter* emitter) {
-              MapStage(instance, emitter);
+        ShardPipeline pipeline(view_);
+        const Status map_status = job.RunMap(
+            [this, &pipeline](std::int64_t instance, MrEmitter* emitter) {
+              MapStage(&pipeline, instance, emitter);
             });
-        pipeline_ = nullptr;
         if (pipeline_stats != nullptr) pipeline_stats->Merge(pipeline.stats());
         INFERTURBO_RETURN_NOT_OK(map_status);
       }
@@ -290,10 +287,9 @@ class MrInferenceDriver {
   /// already filling p+1 while this instance computes. Raw features
   /// become layer-0 states, which enter the dataflow with the out-edges
   /// and layer-0 messages.
-  void MapStage(std::int64_t instance, MrEmitter* emitter) {
-    Result<PartitionSlice> acquired =
-        pipeline_ != nullptr ? pipeline_->Acquire(instance)
-                             : view_.AcquirePartition(instance);
+  void MapStage(ShardPipeline* pipeline, std::int64_t instance,
+                MrEmitter* emitter) {
+    Result<PartitionSlice> acquired = pipeline->Acquire(instance);
     if (!acquired.ok()) {
       RecordMapError(acquired.status());
       return;
@@ -560,8 +556,6 @@ class MrInferenceDriver {
   std::mutex map_error_mutex_;
   /// First failure from a map instance (MapFn cannot return Status).
   Status map_error_ = Status::OK();
-  /// Live only while RunMap executes; MapStage acquires through it.
-  ShardPipeline* pipeline_ = nullptr;
 
   std::mutex broadcast_mutex_;
   std::unordered_map<NodeId, std::vector<float>> broadcast_staging_;

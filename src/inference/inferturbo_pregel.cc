@@ -231,27 +231,42 @@ class PregelInferenceDriver {
       part_dst.resize(static_cast<std::size_t>(num_workers));
       part_row.resize(static_cast<std::size_t>(num_workers));
     }
-    // Dense per-edge rows (non-partial path), sized in a first pass.
+    // Hub out-edges become id-only reference rows. A partial-gather
+    // layer sends all of them before its partial batches. Any other
+    // layer sends dense rows and references in node order, one batch per
+    // maximal run of each, so a destination folds every worker's
+    // messages in node order, as MapReduce does.
+    const bool node_order = !route.partial_gather;
     MessageBatch dense;
-    // Id-only rows for hub out-edges.
     MessageBatch refs;
     refs.payload = Tensor(0, 0);
+    const auto send_dense = [&] {
+      if (dense.empty()) return;
+      ctx->SendBatch(std::move(dense));
+      dense = MessageBatch();
+    };
+    const auto send_refs = [&] {
+      if (refs.empty()) return;
+      ctx->SendBatch(std::move(refs));
+      refs = MessageBatch();
+      refs.payload = Tensor(0, 0);
+    };
 
-    std::int64_t dense_rows = 0;
+    // Out-edges per maximal run of dense nodes (node-order layers), so
+    // each run's batch is sized once.
+    std::vector<std::int64_t> run_rows;
     std::vector<bool> is_hub(nodes.size(), false);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const std::int64_t out_degree = graph_.OutDegree(nodes[i]);
       if (plan_.IsHub(layer_index, out_degree)) {
         is_hub[i] = true;
-      } else if (!route.partial_gather) {
-        dense_rows += out_degree;
+      } else if (node_order) {
+        if (i == 0 || is_hub[i - 1]) run_rows.push_back(0);
+        run_rows.back() += out_degree;
       }
     }
-    if (dense_rows > 0) {
-      dense.Reserve(static_cast<std::size_t>(dense_rows), msg_dim);
-      dense.payload = Tensor(dense_rows, msg_dim);
-    }
 
+    std::size_t next_run = 0;
     std::int64_t dense_cursor = 0;
     std::int64_t edge_cursor = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -261,6 +276,7 @@ class PregelInferenceDriver {
                                            : static_cast<std::int64_t>(i);
       edge_cursor += static_cast<std::int64_t>(out.size());
       if (is_hub[i]) {
+        if (node_order) send_dense();
         ctx->PublishBroadcast(v, rows.RowPtr(r), msg_dim);
         for (EdgeId e : out) {
           refs.dst.push_back(graph_.EdgeDst(e));
@@ -277,18 +293,26 @@ class PregelInferenceDriver {
           part_row[pw].push_back(r);
           r += row_step;
         }
-      } else {
-        for (EdgeId e : out) {
-          dense.dst.push_back(graph_.EdgeDst(e));
-          dense.src.push_back(v);
-          dense.payload.SetRow(dense_cursor++, rows.RowPtr(r));
-          r += row_step;
+        continue;
+      }
+      if (i == 0 || is_hub[i - 1]) {  // a run of dense nodes starts
+        send_refs();
+        const std::int64_t run = run_rows[next_run++];
+        if (run > 0) {
+          dense.Reserve(static_cast<std::size_t>(run), msg_dim);
+          dense.payload = Tensor(run, msg_dim);
         }
+        dense_cursor = 0;
+      }
+      for (EdgeId e : out) {
+        dense.dst.push_back(graph_.EdgeDst(e));
+        dense.src.push_back(v);
+        dense.payload.SetRow(dense_cursor++, rows.RowPtr(r));
+        r += row_step;
       }
     }
-
-    if (!dense.empty()) ctx->SendBatch(std::move(dense));
-    if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
+    send_dense();
+    send_refs();
     if (route.partial_gather) {
       // Sender-side combine, one accumulator per destination worker:
       // materialize each worker's per-edge rows with one batched row
@@ -345,6 +369,14 @@ Result<InferenceResult> RunPregelEngine(
   engine_options.checkpoint_interval = options.checkpoint_interval;
   engine_options.failure_injector = options.failure_injector;
 
+  // Checkpoints carry the driver's state as bytes, both for the
+  // in-memory rollback and for the durable store.
+  engine_options.serialize_driver = [&driver] {
+    return driver.SerializeState();
+  };
+  engine_options.deserialize_driver = [&driver](const std::string& bytes) {
+    return driver.DeserializeState(bytes);
+  };
   // Durable store: opened when a checkpoint directory is configured.
   // Durable mode implies checkpointing, so an unset interval means
   // "every superstep".
@@ -355,25 +387,8 @@ Result<InferenceResult> RunPregelEngine(
       engine_options.checkpoint_interval = 1;
     }
     engine_options.checkpoint_store = &*store;
-    engine_options.serialize_driver = [&driver] {
-      return driver.SerializeState();
-    };
-    engine_options.deserialize_driver = [&driver](const std::string& bytes) {
-      return driver.DeserializeState(bytes);
-    };
     engine_options.resume = options.resume_from;
     engine_options.kill_switch = options.kill_switch;
-  }
-  if (engine_options.checkpoint_interval > 0) {
-    engine_options.snapshot_state = [&driver] {
-      return std::make_shared<const std::string>(driver.SerializeState());
-    };
-    engine_options.restore_state =
-        [&driver](const std::shared_ptr<const void>& state) {
-          const Status restored = driver.DeserializeState(
-              *static_cast<const std::string*>(state.get()));
-          INFERTURBO_CHECK(restored.ok()) << restored.ToString();
-        };
   }
   // Task supervision around every superstep compute task. The driver's
   // deferred-commit Compute makes duplicate attempts and superstep

@@ -86,11 +86,6 @@ Result<InferenceResult> RunInferenceJob(const GraphView& view,
         std::to_string(view.num_partitions()) +
         "): the shard partitioning is the worker assignment");
   }
-  if (options.pin_hub_shards) {
-    // Pin the hub-heavy hot-set before any streaming so it survives
-    // every LRU cycle of the sweep (no-op without a pinned budget).
-    INFERTURBO_RETURN_NOT_OK(view.PinHotSet(plan.hub_threshold()).status());
-  }
   PipelineStats stats;
   InferenceResult result;
   if (stream != nullptr && !options.strategies.shadow_nodes) {
@@ -100,9 +95,7 @@ Result<InferenceResult> RunInferenceJob(const GraphView& view,
   } else {
     // Rebuild the graph through the shard pipeline (I/O for partition
     // p+1 overlaps the rebuild of p) and run the resident path on it.
-    INFERTURBO_ASSIGN_OR_RETURN(
-        Graph graph,
-        MaterializeGraph(view, {options.storage_pipeline_slots, &stats}));
+    INFERTURBO_ASSIGN_OR_RETURN(Graph graph, MaterializeGraph(view, &stats));
     INFERTURBO_ASSIGN_OR_RETURN(
         result, RunOnGraph(graph, model, options, plan, backend));
   }

@@ -39,11 +39,11 @@ Result<InferenceResult> RunInferenceJob(const Graph& graph,
                                         const InferTurboOptions& options,
                                         GraphBackend backend);
 
-/// A view over a resident graph runs the graph entry. Otherwise the hub
-/// hot-set is pinned when asked, then `stream` runs over the view —
-/// unless it is null or the shadow rewrite needs the whole graph, in
-/// which case the view is materialized (MaterializeGraph keeps the
-/// original edge order, so the bytes match) and `backend` runs on it.
+/// A view over a resident graph runs the graph entry. Otherwise
+/// `stream` runs over the view — unless it is null or the shadow
+/// rewrite needs the whole graph, in which case the view is
+/// materialized (MaterializeGraph keeps the original edge order, so
+/// the bytes match) and `backend` runs on it.
 /// A streaming backend takes the view's partitioning as its worker
 /// assignment, so num_workers must equal the partition count.
 /// result.metrics.storage carries the view's storage counters.

@@ -71,19 +71,6 @@ struct InferTurboOptions {
   /// embeddings) — the output mode embedding-production jobs use.
   bool export_embeddings = false;
 
-  // --- out-of-core streaming (src/storage/) ------------------------
-  /// In-flight window of the ShardPipeline that streams partitions to
-  /// the map stage / materialize sweep when the job runs over an
-  /// out-of-core GraphView: the load for partition p+1 starts the
-  /// moment compute on p begins. 2 = double buffering; <= 0 falls back
-  /// to demand loads. Irrelevant for in-memory runs.
-  int storage_pipeline_slots = 2;
-  /// Pin the hub-heavy shard hot-set resident before streaming
-  /// (GraphView::PinHotSet with the job's activation threshold). Takes
-  /// effect only when the view's store was opened with a
-  /// pinned_budget_bytes.
-  bool pin_hub_shards = false;
-
   // --- task supervision (src/runtime/) -----------------------------
   /// Run every per-partition unit of work (Pregel compute tasks,
   /// MapReduce map/shuffle/reduce tasks) under a TaskSupervisor:

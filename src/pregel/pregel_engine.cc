@@ -181,6 +181,21 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
       static_cast<std::size_t>(num_workers));
   board_current_.clear();
 
+  // Checkpointing: in-flight messages + board + driver state, encoded
+  // once every checkpoint_interval supersteps. The same bytes back the
+  // durable write (when a store is configured) and the in-memory
+  // rollback a failed superstep replays from.
+  CheckpointData checkpoint;
+  bool has_checkpoint = false;
+  const auto restore = [&](const CheckpointData& data) -> Status {
+    INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
+        data.engine_state, num_workers, &inboxes, &inbox_partial,
+        &board_current_));
+    return options_.deserialize_driver
+               ? options_.deserialize_driver(data.driver_state)
+               : Status::OK();
+  };
+
   // Cross-process resume: rebuild in-flight state from the newest valid
   // durable checkpoint and continue at its superstep. A store with no
   // loadable checkpoint means the job died before its first one — start
@@ -191,40 +206,13 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     if (latest.ok()) {
       RecordFlightEvent(FlightEventKind::kCheckpointRestore,
                         "pregel/resume", latest->step);
-      INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-          latest->engine_state, num_workers, &inboxes, &inbox_partial,
-          &board_current_));
-      if (options_.deserialize_driver) {
-        INFERTURBO_RETURN_NOT_OK(
-            options_.deserialize_driver(latest->driver_state));
-      }
+      INFERTURBO_RETURN_NOT_OK(restore(*latest));
       start_step = latest->step;
     } else if (!latest.status().IsNotFound()) {
       return latest.status();
     }
   }
 
-  // Checkpointing: in-flight messages + board + (via hooks) driver
-  // state, every checkpoint_interval supersteps. A failed superstep
-  // rolls back here and replays. With a durable store configured the
-  // state is serialized exactly once and those encoded bytes back both
-  // the durable write and the in-memory rollback — no deep copy of
-  // inboxes/board, no second encoding pass. Without a store the deep
-  // copy is kept (cheaper than encode+decode for a purely local
-  // rollback).
-  struct Checkpoint {
-    std::int64_t step = 0;
-    // Deep-copy form (no durable store).
-    std::vector<std::vector<MessageBatch>> inboxes;
-    std::vector<std::vector<bool>> inbox_partial;
-    std::unordered_map<NodeId, std::vector<float>> board;
-    std::shared_ptr<const void> driver_state;
-    // Encoded form (durable store): shared with the store's write.
-    std::shared_ptr<const std::string> engine_bytes;
-    std::shared_ptr<const std::string> driver_bytes;
-  };
-  Checkpoint checkpoint;
-  bool has_checkpoint = false;
   std::int64_t attempts = 0;
   const std::int64_t max_attempts = options_.max_supersteps * 10 + 10;
 
@@ -243,37 +231,14 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     }
     if (options_.checkpoint_interval > 0 &&
         step % options_.checkpoint_interval == 0) {
-      checkpoint = Checkpoint();
+      TraceSpan span("pregel/checkpoint");
       checkpoint.step = step;
+      checkpoint.engine_state =
+          EncodePregelEngineState(inboxes, inbox_partial, board_current_);
+      checkpoint.driver_state =
+          options_.serialize_driver ? options_.serialize_driver() : "";
       if (options_.checkpoint_store != nullptr) {
-        TraceSpan span("pregel/checkpoint");
-        checkpoint.engine_bytes = std::make_shared<const std::string>(
-            EncodePregelEngineState(inboxes, inbox_partial, board_current_));
-        // The driver state rolls back through the encoded bytes only
-        // when the driver can decode them again; otherwise fall back to
-        // its in-memory snapshot hooks.
-        const bool encoded_driver =
-            options_.serialize_driver && options_.deserialize_driver;
-        if (options_.serialize_driver) {
-          checkpoint.driver_bytes = std::make_shared<const std::string>(
-              options_.serialize_driver());
-        }
-        if (!encoded_driver && options_.snapshot_state) {
-          checkpoint.driver_state = options_.snapshot_state();
-        }
-        CheckpointData durable;
-        durable.step = step;
-        durable.engine_state = *checkpoint.engine_bytes;
-        if (checkpoint.driver_bytes != nullptr) {
-          durable.driver_state = *checkpoint.driver_bytes;
-        }
-        INFERTURBO_RETURN_NOT_OK(options_.checkpoint_store->Save(durable));
-      } else {
-        checkpoint.inboxes = inboxes;
-        checkpoint.inbox_partial = inbox_partial;
-        checkpoint.board = board_current_;
-        checkpoint.driver_state =
-            options_.snapshot_state ? options_.snapshot_state() : nullptr;
+        INFERTURBO_RETURN_NOT_OK(options_.checkpoint_store->Save(checkpoint));
       }
       has_checkpoint = true;
       RecordFlightEvent(FlightEventKind::kCheckpointSave, "pregel/checkpoint",
@@ -384,22 +349,7 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
               << "superstep " << step
               << " re-execution budget exhausted; restoring checkpoint of "
               << "step " << checkpoint.step;
-          if (checkpoint.engine_bytes != nullptr) {
-            INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-                *checkpoint.engine_bytes, num_workers, &inboxes,
-                &inbox_partial, &board_current_));
-          } else {
-            inboxes = checkpoint.inboxes;
-            inbox_partial = checkpoint.inbox_partial;
-            board_current_ = checkpoint.board;
-          }
-          if (checkpoint.driver_bytes != nullptr &&
-              options_.deserialize_driver) {
-            INFERTURBO_RETURN_NOT_OK(
-                options_.deserialize_driver(*checkpoint.driver_bytes));
-          } else if (options_.restore_state) {
-            options_.restore_state(checkpoint.driver_state);
-          }
+          INFERTURBO_RETURN_NOT_OK(restore(checkpoint));
           step = checkpoint.step - 1;
           continue;
         }
@@ -439,22 +389,7 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
           metrics.workers[static_cast<std::size_t>(w)].steps.push_back(
               step_metrics[static_cast<std::size_t>(w)]);
         }
-        if (checkpoint.engine_bytes != nullptr) {
-          INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-              *checkpoint.engine_bytes, num_workers, &inboxes,
-              &inbox_partial, &board_current_));
-        } else {
-          inboxes = checkpoint.inboxes;
-          inbox_partial = checkpoint.inbox_partial;
-          board_current_ = checkpoint.board;
-        }
-        if (checkpoint.driver_bytes != nullptr &&
-            options_.deserialize_driver) {
-          INFERTURBO_RETURN_NOT_OK(
-              options_.deserialize_driver(*checkpoint.driver_bytes));
-        } else if (options_.restore_state) {
-          options_.restore_state(checkpoint.driver_state);
-        }
+        INFERTURBO_RETURN_NOT_OK(restore(checkpoint));
         step = checkpoint.step - 1;  // loop increment replays it
         continue;
       }

@@ -132,13 +132,14 @@ class PregelEngine {
 
     // --- fault tolerance (paper §IV: inherited from the substrate) --
     /// Snapshot the engine's in-flight state (plus the driver's, via
-    /// the two hooks below) every N supersteps; 0 disables
+    /// serialize_driver below) every N supersteps; 0 disables
     /// checkpointing.
     std::int64_t checkpoint_interval = 0;
-    /// Captures the driver's mutable state at a checkpoint...
-    std::function<std::shared_ptr<const void>()> snapshot_state;
-    /// ...and restores it during recovery.
-    std::function<void(const std::shared_ptr<const void>&)> restore_state;
+    /// Serializes the driver's mutable state to bytes at every
+    /// checkpoint, in-memory or durable...
+    std::function<std::string()> serialize_driver;
+    /// ...and rebuilds it from those bytes on rollback or resume.
+    std::function<Status(const std::string&)> deserialize_driver;
     /// Simulated failure: returns true when `worker` crashes in `step`.
     /// The job rolls back to the last checkpoint and replays. The
     /// injector sees each (step, worker) once per execution attempt, so
@@ -151,11 +152,6 @@ class PregelEngine {
     /// also serialized to this store, so a killed *process* — not just
     /// a simulated worker — can resume. Not owned.
     CheckpointStore* checkpoint_store = nullptr;
-    /// Serializes the driver's mutable state to bytes for durable
-    /// checkpoints...
-    std::function<std::string()> serialize_driver;
-    /// ...and rebuilds it from bytes during a cross-process resume.
-    std::function<Status(const std::string&)> deserialize_driver;
     /// Start Run from the store's newest valid checkpoint instead of
     /// superstep 0 (falls back to a fresh start when the store holds no
     /// loadable checkpoint — the job died before its first one).

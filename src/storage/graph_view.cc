@@ -101,11 +101,6 @@ Result<PartitionSlice> ShardGraphView::AcquirePartition(
   return slice;
 }
 
-Result<std::int64_t> ShardGraphView::PinHotSet(
-    std::int64_t hub_threshold) const {
-  return store_.PinHotSet(hub_threshold);
-}
-
 namespace {
 
 /// The rebuild behind MaterializeGraph: validates every slice and
@@ -196,13 +191,13 @@ Result<Graph> RebuildGraph(const GraphView& view, ShardPipeline* pipeline) {
 }  // namespace
 
 Result<Graph> MaterializeGraph(const GraphView& view,
-                               const MaterializeOptions& options) {
+                               PipelineStats* stats) {
   if (const Graph* resident = view.resident_graph()) {
     return *resident;  // already whole; copy rather than re-gather
   }
-  ShardPipeline pipeline(view, ShardPipelineOptions{options.pipeline_slots});
+  ShardPipeline pipeline(view);
   Result<Graph> out = RebuildGraph(view, &pipeline);
-  if (options.stats != nullptr) options.stats->Merge(pipeline.stats());
+  if (stats != nullptr) stats->Merge(pipeline.stats());
   return out;
 }
 

@@ -60,13 +60,6 @@ class GraphView {
   /// Pins partition p and returns spans over its data.
   virtual Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const = 0;
-  /// Pins the hub-heavy hot-set resident (out-of-core views configured
-  /// with a pinned budget; see ShardStore::PinHotSet). Returns the
-  /// number of partitions pinned — 0 for in-memory views and stores
-  /// without a pinned budget.
-  virtual Result<std::int64_t> PinHotSet(std::int64_t /*hub_threshold*/) const {
-    return std::int64_t{0};
-  }
 
   /// The whole graph, when it is resident anyway (in-memory views);
   /// nullptr for out-of-core views. Lets callers keep fast paths that
@@ -131,7 +124,6 @@ class ShardGraphView : public GraphView {
 
   Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const override;
-  Result<std::int64_t> PinHotSet(std::int64_t hub_threshold) const override;
   StorageMetrics storage_metrics() const override {
     return store_.metrics();
   }
@@ -144,26 +136,17 @@ class ShardGraphView : public GraphView {
 
 struct PipelineStats;  // shard_pipeline.h
 
-struct MaterializeOptions {
-  /// ShardPipeline window for the partition sweep: the loader keeps up
-  /// to this many partitions in flight ahead of the rebuild. <= 0 loads
-  /// each partition on demand.
-  int pipeline_slots = 2;
-  /// When set, the sweep's pipeline accounting is merged in.
-  PipelineStats* stats = nullptr;
-};
-
 /// Rebuilds a full in-memory Graph from any view, reproducing the
 /// original edge numbering exactly: slices carry global edge ids, so
 /// every edge lands at its original position and the rebuilt CSC
 /// in-edge order — and with it every order-sensitive float fold — is
 /// bit-identical to the graph that was packed. The sweep runs on a
 /// ShardPipeline, so the load of partition p+1 overlaps the rebuild of
-/// partition p; the output is byte-identical for every window. Peak
-/// extra memory is the pipeline window's slices on top of the output
-/// graph.
+/// partition p. Peak extra memory is the pipeline window's slices on
+/// top of the output graph. When `stats` is set, the sweep's pipeline
+/// accounting is merged into it.
 Result<Graph> MaterializeGraph(const GraphView& view,
-                               const MaterializeOptions& options = {});
+                               PipelineStats* stats = nullptr);
 
 }  // namespace inferturbo
 

@@ -8,16 +8,19 @@
 
 namespace inferturbo {
 
-ShardPipeline::ShardPipeline(const GraphView& view,
-                             ShardPipelineOptions options)
-    : view_(view),
-      options_(options),
-      num_partitions_(view.num_partitions()) {
+namespace {
+
+/// In-flight partition window: classic double buffering.
+constexpr std::size_t kWindowSlots = 2;
+
+}  // namespace
+
+ShardPipeline::ShardPipeline(const GraphView& view)
+    : view_(view), num_partitions_(view.num_partitions()) {
   // Passthrough for resident graphs (their AcquirePartition is a
-  // memory gather, not I/O worth a thread), single-partition views
-  // (nothing to run ahead of), and explicitly disabled pipelines.
-  if (options_.slots > 0 && view_.resident_graph() == nullptr &&
-      num_partitions_ > 1) {
+  // memory gather, not I/O worth a thread) and single-partition views
+  // (nothing to run ahead of).
+  if (view_.resident_graph() == nullptr && num_partitions_ > 1) {
     loader_ = std::thread([this] { LoaderLoop(); });
   }
 }
@@ -49,9 +52,7 @@ std::int64_t ShardPipeline::PickTargetLocked() {
           consumed_.count(next_ahead_) != 0)) {
     ++next_ahead_;
   }
-  if (next_ahead_ < num_partitions_ &&
-      static_cast<std::int64_t>(slots_.size()) <
-          static_cast<std::int64_t>(options_.slots)) {
+  if (next_ahead_ < num_partitions_ && slots_.size() < kWindowSlots) {
     return next_ahead_;
   }
   return -1;

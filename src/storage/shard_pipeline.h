@@ -15,15 +15,6 @@
 
 namespace inferturbo {
 
-struct ShardPipelineOptions {
-  /// In-flight partition window: the loader keeps up to this many
-  /// unconsumed partitions resident (loading or ready) ahead of the
-  /// consumer. 2 = classic double buffering (compute on p while I/O
-  /// fills p+1). <= 0 disables the pipeline — Acquire degrades to a
-  /// plain demand AcquirePartition.
-  int slots = 2;
-};
-
 /// Aggregated pipeline accounting for one sweep, folded into the job's
 /// StorageMetrics so the overlap win shows up in run reports.
 struct PipelineStats {
@@ -51,8 +42,10 @@ struct PipelineStats {
 };
 
 /// Explicit double-buffered streaming over a GraphView: one dedicated
-/// loader thread fills up to `slots` partitions ahead of the consumer,
-/// and Acquire(p) hands off through an explicit ready-future.
+/// loader thread keeps up to two unconsumed partitions resident
+/// (loading or ready) ahead of the consumer — compute on p while I/O
+/// fills p+1 — and Acquire(p) hands off through an explicit
+/// ready-future.
 ///
 /// Contract: one sweep. Each partition is acquired at most once per
 /// pipeline instance (a second Acquire of the same partition degrades
@@ -61,8 +54,8 @@ struct PipelineStats {
 /// schedules past the view's last partition. Construct one pipeline per
 /// map stage / materialize sweep; construction cost is one thread.
 ///
-/// Passthrough mode: views with a resident graph, single-partition
-/// views, and slots <= 0 skip the thread entirely and Acquire calls
+/// Passthrough mode: views with a resident graph and single-partition
+/// views skip the thread entirely and Acquire calls
 /// straight through, so callers never special-case in-memory runs.
 ///
 /// Thread-safe for concurrent Acquire calls on distinct partitions
@@ -70,8 +63,7 @@ struct PipelineStats {
 /// must outlive the pipeline.
 class ShardPipeline {
  public:
-  explicit ShardPipeline(const GraphView& view,
-                         ShardPipelineOptions options = {});
+  explicit ShardPipeline(const GraphView& view);
   ~ShardPipeline();
 
   ShardPipeline(const ShardPipeline&) = delete;
@@ -103,7 +95,6 @@ class ShardPipeline {
   void LoaderLoop();
 
   const GraphView& view_;
-  const ShardPipelineOptions options_;
   const std::int64_t num_partitions_;
 
   mutable std::mutex mu_;

@@ -4,14 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/atomic_file.h"
 #include "src/common/crc32.h"
@@ -54,15 +52,9 @@ struct ShardStore::State {
   struct CacheEntry {
     ShardLease lease;
     std::uint64_t last_use = 0;
-    /// Pinned entries belong to the hub hot-set: LRU eviction skips
-    /// them, so they stay resident across supersteps.
-    bool pinned = false;
   };
   std::unordered_map<std::int64_t, CacheEntry> cache;
   std::uint64_t tick = 0;
-  /// Hot-set accounting, guarded by `mu`.
-  std::uint64_t pinned_bytes = 0;
-  std::int64_t pinned_partitions = 0;
   /// Counters mutated under `mu`. bytes_mapped/peak/unmap_calls live as
   /// atomics below: the lease deleter updates them without taking `mu`,
   /// so dropping a lease inside an eviction (which holds `mu`) cannot
@@ -282,11 +274,10 @@ std::uint64_t ExpectedShardBytes(const ShardMeta& meta,
   return cursor;
 }
 
-/// Drops least-recently-used *unpinned* cache entries until `incoming`
-/// more bytes fit under the budget (or only the pinned hot-set
-/// remains). Entries held by outstanding leases free their bytes only
-/// when those leases drop; the loop still terminates because each pass
-/// shrinks the evictable set.
+/// Drops least-recently-used cache entries until `incoming` more bytes
+/// fit under the budget (or the cache is empty). Entries held by
+/// outstanding leases free their bytes only when those leases drop; the
+/// loop still terminates because each pass shrinks the evictable set.
 void EvictForLocked(State& s, std::uint64_t incoming) {
   if (s.options.memory_budget_bytes == 0) return;
   if (s.cache.empty() ||
@@ -299,7 +290,6 @@ void EvictForLocked(State& s, std::uint64_t incoming) {
          s.options.memory_budget_bytes) {
     auto lru = s.cache.end();
     for (auto it = s.cache.begin(); it != s.cache.end(); ++it) {
-      if (it->second.pinned) continue;
       if (lru == s.cache.end() ||
           it->second.last_use < lru->second.last_use) {
         lru = it;
@@ -316,41 +306,6 @@ void EvictForLocked(State& s, std::uint64_t incoming) {
       GlobalMetrics().GetCounter("storage.evictions")->Increment();
     }
   }
-}
-
-/// Out-edges carried by hub nodes (out-degree > `hub_threshold`) of one
-/// shard, computed from a transient read of just the header, page
-/// table, and CSR offsets page — a few KB against multi-MB shards, and
-/// never charged to the memory budget. The page-table frame CRC is
-/// checked (DecodePageEntry); the offsets payload CRC is not — full
-/// validation happens when the shard is actually pinned via Map().
-Result<std::int64_t> HubEdgesForPartition(const std::string& path,
-                                          std::int64_t hub_threshold) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("cannot open shard file " + path);
-  }
-  std::string prefix(ShardPayloadStart(), '\0');
-  Status status = PreadExact(fd, prefix.data(), prefix.size(), 0, path);
-  PageEntry offsets_entry;
-  if (status.ok()) {
-    // Slot 1 of the page table is kOutOffsets (the local CSR).
-    status = DecodePageEntry(prefix, 1, &offsets_entry);
-  }
-  std::vector<std::int64_t> offsets;
-  if (status.ok()) {
-    offsets.resize(offsets_entry.bytes / sizeof(std::int64_t));
-    status = PreadExact(fd, reinterpret_cast<char*>(offsets.data()),
-                        offsets_entry.bytes, offsets_entry.offset, path);
-  }
-  ::close(fd);
-  INFERTURBO_RETURN_NOT_OK(status);
-  std::int64_t hub_edges = 0;
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    const std::int64_t degree = offsets[i] - offsets[i - 1];
-    if (degree > hub_threshold) hub_edges += degree;
-  }
-  return hub_edges;
 }
 
 /// Loads + validates one shard. No budget accounting happens here —
@@ -471,14 +426,6 @@ Result<ShardStore> ShardStore::Open(ShardStoreOptions options) {
   if (options.directory.empty()) {
     return Status::InvalidArgument("shard directory must be set");
   }
-  if (options.memory_budget_bytes != 0 &&
-      options.pinned_budget_bytes > options.memory_budget_bytes) {
-    return Status::InvalidArgument(
-        "pinned_budget_bytes (" +
-        std::to_string(options.pinned_budget_bytes) +
-        ") exceeds memory_budget_bytes (" +
-        std::to_string(options.memory_budget_bytes) + ")");
-  }
   const std::string meta_path =
       options.directory + "/" + ShardMetaFileName();
   ShardMeta meta;
@@ -523,7 +470,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
     auto it = s.cache.find(partition);
     if (it != s.cache.end()) {
       ++s.counters.cache_hits;
-      if (it->second.pinned) ++s.counters.pinned_hits;
       it->second.last_use = ++s.tick;
       return it->second.lease;
     }
@@ -544,64 +490,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
   return PublishLocked(state_, partition, std::move(shard));
 }
 
-Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {
-  State& s = *state_;
-  if (s.options.pinned_budget_bytes == 0) return std::int64_t{0};
-  TraceSpan span("storage/pin_hot_set");
-  struct HubRank {
-    std::int64_t partition = 0;
-    std::uint64_t bytes = 0;
-    std::int64_t hub_edges = 0;
-    std::int64_t num_edges = 0;
-  };
-  std::vector<HubRank> ranks;
-  ranks.reserve(static_cast<std::size_t>(s.meta.num_partitions()));
-  for (std::int64_t p = 0; p < s.meta.num_partitions(); ++p) {
-    HubRank rank;
-    rank.partition = p;
-    rank.bytes = ExpectedShardBytes(s.meta, p);
-    rank.num_edges =
-        s.meta.partitions[static_cast<std::size_t>(p)].num_edges;
-    INFERTURBO_ASSIGN_OR_RETURN(
-        rank.hub_edges,
-        HubEdgesForPartition(
-            s.options.directory + "/" + ShardFileName(p), hub_threshold));
-    ranks.push_back(rank);
-  }
-  // Heaviest hub shards first; edge count then partition id break ties
-  // so the pinned set is deterministic.
-  std::sort(ranks.begin(), ranks.end(),
-            [](const HubRank& a, const HubRank& b) {
-              if (a.hub_edges != b.hub_edges) return a.hub_edges > b.hub_edges;
-              if (a.num_edges != b.num_edges) return a.num_edges > b.num_edges;
-              return a.partition < b.partition;
-            });
-  std::int64_t pinned = 0;
-  std::uint64_t spent = 0;
-  for (const HubRank& rank : ranks) {
-    if (spent + rank.bytes > s.options.pinned_budget_bytes) continue;
-    // Pin through the normal demand path so the shard is validated and
-    // budget-accounted like any other resident shard.
-    INFERTURBO_ASSIGN_OR_RETURN(ShardLease lease, Map(rank.partition));
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.cache.find(rank.partition);
-    if (it == s.cache.end()) continue;  // raced with an eviction; skip
-    if (!it->second.pinned) {
-      it->second.pinned = true;
-      s.pinned_bytes += it->second.lease->mapped_bytes();
-      ++s.pinned_partitions;
-    }
-    spent += rank.bytes;
-    ++pinned;
-  }
-  if (MetricsEnabled()) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    GlobalMetrics().GetGauge("storage.pinned_bytes")->Set(
-        static_cast<std::int64_t>(s.pinned_bytes));
-  }
-  return pinned;
-}
-
 ShardReadPath ShardStore::read_path() const { return state_->read_path; }
 
 StorageMetrics ShardStore::metrics() const {
@@ -610,8 +498,6 @@ StorageMetrics ShardStore::metrics() const {
   {
     std::lock_guard<std::mutex> lock(s.mu);
     out = s.counters;
-    out.pinned_bytes = s.pinned_bytes;
-    out.pinned_partitions = s.pinned_partitions;
   }
   out.bytes_mapped = s.bytes_mapped.load(std::memory_order_relaxed);
   out.peak_bytes_mapped =

@@ -169,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Packs the dataset into `partitions` shards under TempDir and opens
 /// it with a budget below the pack size (the pack minus its smallest
-/// shard), with one shard's worth pinnable for the hub hot-set.
+/// shard).
 Result<ShardStore> PackAndOpen(const std::string& name,
                                std::int64_t partitions) {
   const std::string dir = testing::TempDir() + "/" + name;
@@ -190,7 +190,6 @@ Result<ShardStore> PackAndOpen(const std::string& name,
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = total - smallest;
-  options.pinned_budget_bytes = smallest;
   return ShardStore::Open(std::move(options));
 }
 
@@ -205,8 +204,7 @@ TEST_P(MapReduceViewCrcTest, PackedViewReproducesInMemoryBytes) {
   Result<ShardStore> store = PackAndOpen("mr_crc_view", c.workers);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const ShardGraphView view(std::move(*store));
-  InferTurboOptions options = OptionsFor(c);
-  options.pin_hub_shards = true;
+  const InferTurboOptions options = OptionsFor(c);
   const Result<InferenceResult> result =
       RunInferTurboMapReduce(view, *model, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -93,11 +93,6 @@ InferTurboOptions OptionsFor(const CrcCase& c) {
   return options;
 }
 
-// Broadcast without partial-gather is the one routing where the
-// backends part: Pregel sends a worker's hub references as a second
-// batch after its dense rows, so hub messages fold last at every
-// destination, while MapReduce emits them in node order. Those bytes
-// are pinned as they are; they differ from MapReduce even at 1 worker.
 constexpr CrcCase kCases[] = {
     {"sage_partial", "sage", true, false, false, 1,
      0x165f9b1bu, 0xd5a33c16u, true},
@@ -118,11 +113,11 @@ constexpr CrcCase kCases[] = {
     {"sage_dense", "sage", false, false, false, 4,
      0xd1e1cf4eu, 0x9a8e5121u, true},
     {"sage_broadcast", "sage", false, true, false, 1,
-     0xd57f488eu, 0x844b0142u, false},
+     0x165f9b1bu, 0xd5a33c16u, true},
     {"sage_broadcast", "sage", false, true, false, 3,
-     0xf9dd4fedu, 0x832174f9u, false},
+     0xd01b7d14u, 0xd27fa9aeu, true},
     {"sage_broadcast", "sage", false, true, false, 4,
-     0x63700940u, 0xfbd8496cu, false},
+     0xd1e1cf4eu, 0x9a8e5121u, true},
     {"pool_sage_partial", "pool_sage", true, false, false, 1,
      0x177eff5cu, 0x6568e32eu, true},
     {"pool_sage_partial", "pool_sage", true, false, false, 3,
@@ -133,11 +128,11 @@ constexpr CrcCase kCases[] = {
     {"gat", "gat", false, false, false, 3, 0xaf0ee42du, 0x0fcdeb0eu, true},
     {"gat", "gat", false, false, false, 4, 0xa94d85b7u, 0xa8c7d7ecu, true},
     {"gat_broadcast", "gat", false, true, false, 1,
-     0xe71b148cu, 0x158a7624u, false},
+     0x36bbf95du, 0x5a51042eu, true},
     {"gat_broadcast", "gat", false, true, false, 3,
-     0xfd0e1766u, 0x0c1a99d7u, false},
+     0xaf0ee42du, 0x0fcdeb0eu, true},
     {"gat_broadcast", "gat", false, true, false, 4,
-     0x9b4c73a6u, 0x0636aa9cu, false},
+     0xa94d85b7u, 0xa8c7d7ecu, true},
     {"edge_sage_partial", "edge_sage", true, false, false, 1,
      0x360d2fcbu, 0x3ced4631u, true},
     {"edge_sage_partial", "edge_sage", true, false, false, 3,
@@ -225,7 +220,7 @@ INSTANTIATE_TEST_SUITE_P(FoldOrderAgrees, PregelEqualsMapReduceTest,
 
 /// Packs the dataset into `partitions` shards under TempDir and opens
 /// it with a budget below the pack size (the pack minus its smallest
-/// shard), with one shard's worth pinnable for the hub hot-set.
+/// shard).
 Result<ShardStore> PackAndOpen(const std::string& name,
                                std::int64_t partitions) {
   const std::string dir = testing::TempDir() + "/" + name;
@@ -246,7 +241,6 @@ Result<ShardStore> PackAndOpen(const std::string& name,
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = total - smallest;
-  options.pinned_budget_bytes = smallest;
   return ShardStore::Open(std::move(options));
 }
 
@@ -258,8 +252,7 @@ TEST_P(PregelViewCrcTest, PackedViewReproducesInMemoryBytes) {
   Result<ShardStore> store = PackAndOpen("pregel_crc_view", c.workers);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const ShardGraphView view(std::move(*store));
-  InferTurboOptions options = OptionsFor(c);
-  options.pin_hub_shards = true;
+  const InferTurboOptions options = OptionsFor(c);
   const Result<InferenceResult> result =
       RunInferTurboPregel(view, *model, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

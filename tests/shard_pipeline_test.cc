@@ -2,8 +2,8 @@
 // exactly the bytes a direct demand AcquirePartition would, under
 // in-order sweeps, out-of-order demand, repeat acquires, load errors,
 // and rapid construct/consume/destruct cycling (the tsan target). The
-// passthrough modes (slots <= 0, resident views, single partition)
-// must skip the thread entirely.
+// passthrough modes (resident views, single partition) must skip the
+// thread entirely.
 #include "src/storage/shard_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -86,7 +86,7 @@ TEST(ShardPipelineTest, InOrderSweepIsByteIdenticalToDemandAcquire) {
   const ShardGraphView direct(std::move(*direct_store));
   const ShardGraphView piped(std::move(*piped_store));
 
-  ShardPipeline pipeline(piped, ShardPipelineOptions{2});
+  ShardPipeline pipeline(piped);
   EXPECT_TRUE(pipeline.active());
   // Let the loader fill its 2-slot window before the sweep starts; a
   // consumer racing it could otherwise demand every load itself. The
@@ -118,7 +118,7 @@ TEST(ShardPipelineTest, OutOfOrderDemandJumpsTheLoaderQueue) {
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
-  ShardPipeline pipeline(view, ShardPipelineOptions{2});
+  ShardPipeline pipeline(view);
   for (std::int64_t p = kPartitions - 1; p >= 0; --p) {
     const Result<PartitionSlice> slice = pipeline.Acquire(p);
     ASSERT_TRUE(slice.ok()) << slice.status().ToString();
@@ -138,7 +138,7 @@ TEST(ShardPipelineTest, RepeatAcquireDegradesToDemandLoad) {
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
-  ShardPipeline pipeline(view, ShardPipelineOptions{2});
+  ShardPipeline pipeline(view);
   const Result<PartitionSlice> first = pipeline.Acquire(0);
   const Result<PartitionSlice> second = pipeline.Acquire(0);
   ASSERT_TRUE(first.ok() && second.ok());
@@ -152,7 +152,7 @@ TEST(ShardPipelineTest, OutOfRangeAcquirePassesThroughToTheView) {
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
-  ShardPipeline pipeline(view, ShardPipelineOptions{2});
+  ShardPipeline pipeline(view);
   EXPECT_TRUE(pipeline.Acquire(-1).status().IsInvalidArgument());
   EXPECT_TRUE(pipeline.Acquire(kPartitions).status().IsInvalidArgument());
   // The pipeline still serves valid partitions afterwards.
@@ -166,15 +166,12 @@ TEST(ShardPipelineTest, PassthroughModesSkipTheLoaderThread) {
   ASSERT_TRUE(store.ok());
   const ShardGraphView streamed(std::move(*store));
 
-  // slots <= 0 disables the pipeline.
-  ShardPipeline demand(streamed, ShardPipelineOptions{0});
-  EXPECT_FALSE(demand.active());
-  EXPECT_TRUE(demand.Acquire(0).ok());
-  EXPECT_EQ(demand.stats().loads_ahead + demand.stats().loads_demand, 0);
+  // A multi-partition shard view streams through the loader thread.
+  EXPECT_TRUE(ShardPipeline(streamed).active());
 
   // Resident views never need streaming overlap.
   const InMemoryGraphView resident(d.graph, kPartitions);
-  ShardPipeline in_memory(resident, ShardPipelineOptions{2});
+  ShardPipeline in_memory(resident);
   EXPECT_FALSE(in_memory.active());
   EXPECT_TRUE(in_memory.Acquire(0).ok());
 
@@ -183,7 +180,7 @@ TEST(ShardPipelineTest, PassthroughModesSkipTheLoaderThread) {
   Result<ShardStore> single_store = OpenStore(single_dir);
   ASSERT_TRUE(single_store.ok());
   const ShardGraphView single(std::move(*single_store));
-  ShardPipeline single_pipe(single, ShardPipelineOptions{2});
+  ShardPipeline single_pipe(single);
   EXPECT_FALSE(single_pipe.active());
   EXPECT_TRUE(single_pipe.Acquire(0).ok());
 }
@@ -208,7 +205,7 @@ TEST(ShardPipelineTest, LoadErrorsSurfaceWithoutHanging) {
   Result<ShardStore> store = OpenStore(dir);
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
-  ShardPipeline pipeline(view, ShardPipelineOptions{2});
+  ShardPipeline pipeline(view);
   for (std::int64_t p = 0; p < kPartitions; ++p) {
     const Result<PartitionSlice> slice = pipeline.Acquire(p);
     if (p == 2) {
@@ -221,10 +218,10 @@ TEST(ShardPipelineTest, LoadErrorsSurfaceWithoutHanging) {
   }
 }
 
-// The tsan workhorse: many short-lived single-slot pipelines, some
-// fully consumed by concurrent workers, some abandoned mid-sweep so
-// the destructor races an in-flight load.
-TEST(ShardPipelineTest, SingleSlotRapidCyclingStress) {
+// The tsan workhorse: many short-lived pipelines, some fully consumed
+// by concurrent workers, some abandoned mid-sweep so the destructor
+// races an in-flight load.
+TEST(ShardPipelineTest, RapidCyclingStress) {
   const Dataset d = MakeDataset();
   const std::string dir = PackInto(d.graph, "pipe_stress");
   std::uint64_t largest = 0;
@@ -239,7 +236,7 @@ TEST(ShardPipelineTest, SingleSlotRapidCyclingStress) {
   const ShardGraphView view(std::move(*store));
 
   for (int round = 0; round < 12; ++round) {
-    ShardPipeline pipeline(view, ShardPipelineOptions{1});
+    ShardPipeline pipeline(view);
     const bool abandon = (round % 3) == 2;
     const std::int64_t limit = abandon ? kPartitions / 2 : kPartitions;
     std::atomic<std::int64_t> next{0};
@@ -264,34 +261,24 @@ TEST(ShardPipelineTest, SingleSlotRapidCyclingStress) {
   EXPECT_EQ(view.storage_metrics().checksum_failures, 0);
 }
 
-TEST(ShardPipelineTest, PipelinedMaterializeMatchesPlainMaterialize) {
+TEST(ShardPipelineTest, MaterializeReproducesTheSourceGraph) {
   const Dataset d = MakeDataset();
   const std::string dir = PackInto(d.graph, "pipe_mat");
-  Result<ShardStore> plain_store = OpenStore(dir);
-  Result<ShardStore> piped_store = OpenStore(dir);
-  ASSERT_TRUE(plain_store.ok() && piped_store.ok());
-  const ShardGraphView plain_view(std::move(*plain_store));
-  const ShardGraphView piped_view(std::move(*piped_store));
-
-  // Slots 0 loads every partition on demand, without a loader thread.
-  PipelineStats plain_stats;
-  const Result<Graph> plain =
-      MaterializeGraph(plain_view, {/*pipeline_slots=*/0, &plain_stats});
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(plain_stats.loads_ahead + plain_stats.loads_demand, 0);
+  Result<ShardStore> store = OpenStore(dir);
+  ASSERT_TRUE(store.ok());
+  const ShardGraphView view(std::move(*store));
 
   PipelineStats stats;
-  const Result<Graph> piped =
-      MaterializeGraph(piped_view, {/*pipeline_slots=*/2, &stats});
-  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  const Result<Graph> rebuilt = MaterializeGraph(view, &stats);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
 
-  EXPECT_EQ(plain->num_nodes(), piped->num_nodes());
-  EXPECT_EQ(plain->num_edges(), piped->num_edges());
-  EXPECT_EQ(plain->edge_src(), piped->edge_src());
-  EXPECT_EQ(plain->edge_dst(), piped->edge_dst());
-  EXPECT_EQ(plain->labels(), piped->labels());
+  EXPECT_EQ(rebuilt->num_nodes(), d.graph.num_nodes());
+  EXPECT_EQ(rebuilt->num_edges(), d.graph.num_edges());
+  EXPECT_EQ(rebuilt->edge_src(), d.graph.edge_src());
+  EXPECT_EQ(rebuilt->edge_dst(), d.graph.edge_dst());
+  EXPECT_EQ(rebuilt->labels(), d.graph.labels());
   EXPECT_TRUE(
-      plain->node_features().ApproxEquals(piped->node_features(), 0.0f));
+      rebuilt->node_features().ApproxEquals(d.graph.node_features(), 0.0f));
   EXPECT_EQ(stats.loads_ahead + stats.loads_demand, kPartitions);
 }
 

@@ -82,12 +82,10 @@ std::uint64_t BindingBudget(const std::string& dir) {
   return budget;
 }
 
-Result<ShardStore> OpenStore(const std::string& dir, std::uint64_t budget,
-                             std::uint64_t pinned_budget = 0) {
+Result<ShardStore> OpenStore(const std::string& dir, std::uint64_t budget) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.pinned_budget_bytes = pinned_budget;
   return ShardStore::Open(std::move(options));
 }
 
@@ -127,20 +125,8 @@ TEST_P(StorageEquivalenceTest, StreamedRunsAreBitIdenticalToInMemory) {
       (c.broadcast || c.shadow_nodes) ? 8 : -1;
   options.export_embeddings = true;
 
-  // Every streaming configuration — pipeline on/off × pinned hot-set
-  // on/off — must reproduce the in-memory logits bit for bit on both
-  // backends.
-  struct StreamMode {
-    int slots;
-    bool pin;
-    const char* name;
-  };
-  constexpr StreamMode kModes[] = {
-      {0, false, "demand"},
-      {2, false, "pipelined"},
-      {0, true, "demand_pinned"},
-      {2, true, "pipelined_pinned"},
-  };
+  // The streamed run must reproduce the in-memory logits bit for bit
+  // on both backends, reading every shard exactly once.
   for (const bool use_mapreduce : {false, true}) {
     SCOPED_TRACE(use_mapreduce ? "mapreduce" : "pregel");
     const Result<InferenceResult> in_memory =
@@ -149,40 +135,25 @@ TEST_P(StorageEquivalenceTest, StreamedRunsAreBitIdenticalToInMemory) {
             : RunInferTurboPregel(dataset.graph, *model, options);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
-    for (const StreamMode& mode : kModes) {
-      SCOPED_TRACE(mode.name);
-      const std::uint64_t pinned_budget = mode.pin ? budget / 2 : 0;
-      Result<ShardStore> store = OpenStore(dir, budget, pinned_budget);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      const ShardGraphView view(std::move(*store));
-      InferTurboOptions streamed_options = options;
-      streamed_options.storage_pipeline_slots = mode.slots;
-      streamed_options.pin_hub_shards = mode.pin;
-      const Result<InferenceResult> streamed =
-          use_mapreduce
-              ? RunInferTurboMapReduce(view, *model, streamed_options)
-              : RunInferTurboPregel(view, *model, streamed_options);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    Result<ShardStore> store = OpenStore(dir, budget);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const ShardGraphView view(std::move(*store));
+    const Result<InferenceResult> streamed =
+        use_mapreduce ? RunInferTurboMapReduce(view, *model, options)
+                      : RunInferTurboPregel(view, *model, options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
-      // Bit-identical: tolerance 0.0f, and hard predictions agree.
-      EXPECT_TRUE(streamed->logits.ApproxEquals(in_memory->logits, 0.0f));
-      EXPECT_EQ(streamed->predictions, in_memory->predictions);
-      EXPECT_TRUE(
-          streamed->embeddings.ApproxEquals(in_memory->embeddings, 0.0f));
+    // Bit-identical: tolerance 0.0f, and hard predictions agree.
+    EXPECT_TRUE(streamed->logits.ApproxEquals(in_memory->logits, 0.0f));
+    EXPECT_EQ(streamed->predictions, in_memory->predictions);
+    EXPECT_TRUE(
+        streamed->embeddings.ApproxEquals(in_memory->embeddings, 0.0f));
 
-      const StorageMetrics storage = streamed->metrics.storage;
-      EXPECT_GT(storage.map_calls, 0);
-      EXPECT_GT(storage.peak_bytes_mapped, 0u);
-      EXPECT_LE(storage.peak_bytes_mapped, budget);
-      EXPECT_EQ(storage.checksum_failures, 0);
-      if (mode.pin) {
-        // Half the binding budget fits several of the 8 shards.
-        EXPECT_GT(storage.pinned_bytes, 0u);
-        EXPECT_GT(storage.pinned_partitions, 0);
-      } else {
-        EXPECT_EQ(storage.pinned_partitions, 0);
-      }
-    }
+    const StorageMetrics storage = streamed->metrics.storage;
+    EXPECT_EQ(storage.map_calls, kPartitions);
+    EXPECT_GT(storage.peak_bytes_mapped, 0u);
+    EXPECT_LE(storage.peak_bytes_mapped, budget);
+    EXPECT_EQ(storage.checksum_failures, 0);
   }
 }
 
@@ -309,7 +280,6 @@ TEST(StorageInferenceTest, FourTimesBudgetStreamsBitIdentically) {
   InferTurboOptions options;
   options.num_workers = kManyPartitions;
   options.pool = &pool;
-  options.storage_pipeline_slots = 2;
 
   for (const bool use_mapreduce : {false, true}) {
     SCOPED_TRACE(use_mapreduce ? "mapreduce" : "pregel");
@@ -330,6 +300,7 @@ TEST(StorageInferenceTest, FourTimesBudgetStreamsBitIdentically) {
     EXPECT_TRUE(streamed->logits.ApproxEquals(in_memory->logits, 0.0f));
     EXPECT_EQ(streamed->predictions, in_memory->predictions);
     const StorageMetrics storage = streamed->metrics.storage;
+    EXPECT_EQ(storage.map_calls, kManyPartitions);
     EXPECT_GT(storage.peak_bytes_mapped, 0u);
     EXPECT_LE(storage.peak_bytes_mapped, budget);
     EXPECT_EQ(storage.checksum_failures, 0);
