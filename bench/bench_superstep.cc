@@ -1,6 +1,7 @@
 // Superstep data-plane benchmarks and regression harness: times the
-// kernel-backed gather / combine / route path against the retained
-// scalar oracles on power-law (zipf) inboxes and writes
+// gather and the sender combine (both one FoldMessages call over the
+// one segment fold) and routing against the retained scalar oracles on
+// power-law (zipf) inboxes and writes
 // BENCH_superstep.json — one record per (op, shape, threads) with
 // throughput, ns/message, and the measured speedup. Self-contained
 // timing (no external benchmark framework), same JSON and flag shape
@@ -206,8 +207,8 @@ Workload MakeWorkload(std::int64_t num_msgs, std::int64_t msg_dim,
   return w;
 }
 
-// Receiver-side gather: the full inbox → GatherResult fold, fast
-// kernels vs the pinned scalar oracle.
+// Receiver-side gather: the full inbox → GatherResult fold through the
+// one segment fold vs the pinned scalar oracle.
 void BenchGather(Harness* harness, const Workload& w) {
   const double elems = static_cast<double>(w.num_msgs);
   const double flops = elems * static_cast<double>(w.msg_dim);
@@ -225,27 +226,17 @@ void BenchGather(Harness* harness, const Workload& w) {
       });
 }
 
-// Sender-side combine: folding one outgoing batch into a
-// PooledAccumulator and emitting the partial wire batch, AddBatch vs
-// the per-row Add loop.
+// Sender-side combine: one outgoing batch folded into the partial wire
+// batch (one row per destination, first-seen order, count column),
+// CombineMessages through the one segment fold vs the scalar combine
+// (hash-slotted destinations, then the scalar gather oracle).
 void BenchCombine(Harness* harness, const Workload& w) {
   const double elems = static_cast<double>(w.num_msgs);
   const double flops = elems * static_cast<double>(w.msg_dim);
   harness->Bench(
       "combine", w.shape, flops, elems,
-      [&] {
-        PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-        for (std::int64_t i = 0; i < w.flat.size(); ++i) {
-          acc.Add(w.flat.dst[static_cast<std::size_t>(i)],
-                  w.flat.payload.RowPtr(i));
-        }
-        Sink(acc.ToPartialBatch(0).payload);
-      },
-      [&] {
-        PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-        acc.AddBatch(w.flat, /*partial=*/false);
-        Sink(acc.ToPartialBatch(0).payload);
-      });
+      [&] { Sink(CombineMessagesScalar(AggKind::kSum, w.flat, 0).payload); },
+      [&] { Sink(CombineMessages(AggKind::kSum, w.flat, 0).payload); });
 }
 
 // The whole partial-gather data plane: every sender combines its
@@ -260,12 +251,8 @@ void BenchGatherCombine(Harness* harness, const Workload& w) {
       [&] {
         std::vector<MessageBatch> partials;
         for (std::size_t s = 0; s < w.batches.size(); ++s) {
-          const MessageBatch& b = w.batches[s];
-          PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-          for (std::int64_t i = 0; i < b.size(); ++i) {
-            acc.Add(b.dst[static_cast<std::size_t>(i)], b.payload.RowPtr(i));
-          }
-          partials.push_back(acc.ToPartialBatch(static_cast<NodeId>(s)));
+          partials.push_back(CombineMessagesScalar(
+              AggKind::kSum, w.batches[s], static_cast<NodeId>(s)));
         }
         Sink(GatherSuperstepInboxScalar(AggKind::kSum, w.msg_dim, partials,
                                         all_partial, w.local_index,
@@ -273,8 +260,7 @@ void BenchGatherCombine(Harness* harness, const Workload& w) {
       },
       [&] {
         // Senders combine concurrently — the engine shape: each sending
-        // worker runs its combiner on its own pool thread, and every
-        // accumulator is private to its sender. Only the baseline is
+        // worker combines on its own pool thread. Only the baseline is
         // serial (the always-serial reference convention the kernel
         // benches share).
         const auto num_senders =
@@ -283,15 +269,10 @@ void BenchGatherCombine(Harness* harness, const Workload& w) {
         kernels::ParallelForRanges(
             num_senders, (w.num_msgs / num_senders) * w.msg_dim,
             [&](std::int64_t s0, std::int64_t s1) {
-              // One accumulator per task, Reset per sender — the
-              // engines' allocation-reuse pattern.
-              PooledAccumulator acc(AggKind::kSum, w.msg_dim);
               for (std::int64_t s = s0; s < s1; ++s) {
-                acc.Reset(AggKind::kSum, w.msg_dim);
-                acc.AddBatch(w.batches[static_cast<std::size_t>(s)],
-                             /*partial=*/false);
-                partials[static_cast<std::size_t>(s)] =
-                    acc.ToPartialBatch(static_cast<NodeId>(s));
+                partials[static_cast<std::size_t>(s)] = CombineMessages(
+                    AggKind::kSum, w.batches[static_cast<std::size_t>(s)],
+                    static_cast<NodeId>(s));
               }
             });
         Sink(GatherSuperstepInbox(AggKind::kSum, w.msg_dim, partials,

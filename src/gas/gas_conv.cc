@@ -1,11 +1,9 @@
 #include "src/gas/gas_conv.h"
 
-#include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "src/common/logging.h"
-#include "src/tensor/ops.h"
-#include "src/tensor/segment_ops.h"
+#include "src/gas/superstep_gather.h"
 
 namespace inferturbo {
 
@@ -18,74 +16,29 @@ Tensor GasConv::ApplyEdge(const Tensor& messages,
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
                               std::int64_t num_nodes, bool is_partial) {
-  GatherResult result;
-  result.kind = kind;
-  if (kind == AggKind::kUnion) {
-    INFERTURBO_CHECK(!is_partial) << "union aggregates have no partial form";
-    result.messages = messages;
-    result.dst_index.assign(dst_index.begin(), dst_index.end());
-    result.counts = SegmentCounts(dst_index, num_nodes);
-    return result;
-  }
-
+  INFERTURBO_CHECK(kind != AggKind::kUnion || !is_partial)
+      << "union aggregates have no partial form";
+  INFERTURBO_CHECK(static_cast<std::int64_t>(dst_index.size()) ==
+                   messages.rows())
+      << "gather of " << messages.rows() << " rows with " << dst_index.size()
+      << " destinations";
   const std::int64_t width =
       is_partial ? messages.cols() - 1 : messages.cols();
   INFERTURBO_CHECK(width >= 0) << "partial batch without a count column";
-  result.pooled = Tensor(num_nodes, width);
-  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-
-  if (kind == AggKind::kMax || kind == AggKind::kMin) {
-    const float init = kind == AggKind::kMax
-                           ? -std::numeric_limits<float>::infinity()
-                           : std::numeric_limits<float>::infinity();
-    result.pooled = Tensor::Full(num_nodes, width, init);
-  }
-
+  FoldInput input;
+  input.segs.assign(dst_index.begin(), dst_index.end());
+  input.rows.resize(dst_index.size());
+  if (is_partial) input.counts.resize(dst_index.size());
   for (std::int64_t i = 0; i < messages.rows(); ++i) {
-    const std::int64_t seg = dst_index[static_cast<std::size_t>(i)];
-    INFERTURBO_CHECK(0 <= seg && seg < num_nodes)
-        << "gather dst index " << seg << " out of [0," << num_nodes << ")";
     const float* row = messages.RowPtr(i);
-    const std::int64_t count =
-        is_partial ? static_cast<std::int64_t>(row[width]) : 1;
-    float* acc = result.pooled.RowPtr(seg);
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kMean:
-        // Partial mean rows arrive as *running sums* plus a count
-        // column (PooledAccumulator keeps sums until Finalize), so the
-        // merge is a plain add either way.
-        for (std::int64_t j = 0; j < width; ++j) acc[j] += row[j];
-        break;
-      case AggKind::kMax:
-        for (std::int64_t j = 0; j < width; ++j) {
-          acc[j] = std::max(acc[j], row[j]);
-        }
-        break;
-      case AggKind::kMin:
-        for (std::int64_t j = 0; j < width; ++j) {
-          acc[j] = std::min(acc[j], row[j]);
-        }
-        break;
-      case AggKind::kUnion:
-        INFERTURBO_CHECK(false) << "unreachable";
-    }
-    result.counts[static_cast<std::size_t>(seg)] += count;
-  }
-
-  // Finalize: divide mean by total count; clear untouched extremum rows
-  // to the neutral zero the layers expect for isolated nodes.
-  for (std::int64_t v = 0; v < num_nodes; ++v) {
-    float* acc = result.pooled.RowPtr(v);
-    const std::int64_t count = result.counts[static_cast<std::size_t>(v)];
-    if (count == 0) {
-      std::fill(acc, acc + width, 0.0f);
-    } else if (kind == AggKind::kMean) {
-      const float inv = 1.0f / static_cast<float>(count);
-      for (std::int64_t j = 0; j < width; ++j) acc[j] *= inv;
+    input.rows[static_cast<std::size_t>(i)] = row;
+    // Partial rows carry running sums (for mean too) plus a count.
+    if (is_partial) {
+      input.counts[static_cast<std::size_t>(i)] =
+          static_cast<std::int64_t>(row[width]);
     }
   }
-  return result;
+  return FoldMessages(kind, width, std::move(input), num_nodes);
 }
 
 }  // namespace inferturbo

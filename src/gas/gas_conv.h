@@ -90,9 +90,10 @@ class GasConv {
   virtual std::vector<ag::VarPtr> Parameters() const = 0;
 };
 
-/// Engine-side helper implementing the receiver half of Gather: folds a
-/// vectorized message batch (with local destination indices) into a
-/// GatherResult per `kind`. Rows whose last column is a partial count
+/// The receiver half of Gather over a message matrix, for callers that
+/// hold one (serving, incremental inference, the reference run): row i
+/// folds into local node dst_index[i] through FoldMessages
+/// (superstep_gather.h). Rows whose last column is a partial count
 /// (is_partial = true) are merged exactly.
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "src/common/logging.h"
-#include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
 
@@ -128,161 +126,6 @@ std::vector<MessageBatch> SplitByWorker(MessageBatch batch,
     i = e;
   }
   return slices;
-}
-
-PooledAccumulator::PooledAccumulator(AggKind kind, std::int64_t width)
-    : kind_(kind), width_(width) {
-  INFERTURBO_CHECK(kind != AggKind::kUnion)
-      << "PooledAccumulator cannot pool a union aggregate";
-}
-
-void PooledAccumulator::Reset(AggKind kind, std::int64_t width) {
-  INFERTURBO_CHECK(kind != AggKind::kUnion)
-      << "PooledAccumulator cannot pool a union aggregate";
-  kind_ = kind;
-  width_ = width;
-  rows_.clear();
-  dst_order_.clear();
-  counts_.clear();
-  index_.clear();
-  // dense_slots_ / slot_scratch_ are per-AddBatch scratch and already
-  // reinitialized on use; keeping them is the point of Reset.
-}
-
-namespace {
-
-float PooledInitValue(AggKind kind) {
-  return (kind == AggKind::kMax) ? -std::numeric_limits<float>::infinity()
-         : (kind == AggKind::kMin) ? std::numeric_limits<float>::infinity()
-                                   : 0.0f;
-}
-
-kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kMean:  // carried as running sum until Finalize
-      return kernels::detail::FoldOp::kAdd;
-    case AggKind::kMax:
-      return kernels::detail::FoldOp::kMax;
-    case AggKind::kMin:
-      return kernels::detail::FoldOp::kMin;
-    case AggKind::kUnion:
-      break;
-  }
-  INFERTURBO_CHECK(false) << "unreachable";
-  return kernels::detail::FoldOp::kAdd;
-}
-
-}  // namespace
-
-std::int64_t PooledAccumulator::SlotFor(NodeId dst) {
-  auto [it, inserted] =
-      index_.try_emplace(dst, static_cast<std::int64_t>(dst_order_.size()));
-  if (inserted) {
-    dst_order_.push_back(dst);
-    counts_.push_back(0);
-    rows_.resize(rows_.size() + static_cast<std::size_t>(width_),
-                 PooledInitValue(kind_));
-  }
-  return it->second;
-}
-
-float* PooledAccumulator::RowFor(NodeId dst, std::int64_t count_delta) {
-  const std::int64_t s = SlotFor(dst);
-  counts_[static_cast<std::size_t>(s)] += count_delta;
-  return rows_.data() + s * width_;
-}
-
-void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
-  if (batch.empty()) return;
-  const std::int64_t expected = partial ? width_ + 1 : width_;
-  INFERTURBO_CHECK(batch.payload.cols() == expected)
-      << "AddBatch payload width " << batch.payload.cols() << " vs expected "
-      << expected << (partial ? " (partial)" : "");
-  const std::int64_t n = batch.size();
-
-  // Pass 1 — slot resolution, ids only (the payload stays untouched so
-  // its stream is read exactly once, by the fold kernel). When the
-  // destination id range is modest relative to the batch (hub-heavy
-  // power-law traffic), a dense scratch table turns the per-row hash
-  // probe into one array load — the hash index is consulted only the
-  // first time a destination appears this call. A sparse gigantic id
-  // space skips the table rather than allocate it.
-  NodeId max_dst = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    max_dst = std::max(max_dst, batch.dst[static_cast<std::size_t>(i)]);
-  }
-  const bool dense = static_cast<std::int64_t>(max_dst) < 4 * n + 1024;
-  if (dense) {
-    dense_slots_.assign(static_cast<std::size_t>(max_dst) + 1, -1);
-  }
-  slot_scratch_.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const NodeId d = batch.dst[static_cast<std::size_t>(i)];
-    std::int64_t s;
-    if (dense) {
-      const std::int32_t cached = dense_slots_[static_cast<std::size_t>(d)];
-      if (cached >= 0) {
-        s = cached;
-      } else {
-        s = SlotFor(d);
-        dense_slots_[static_cast<std::size_t>(d)] =
-            static_cast<std::int32_t>(s);
-      }
-    } else {
-      s = SlotFor(d);
-    }
-    slot_scratch_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(s);
-  }
-
-  // Pass 2 — counts and value folds, one batch kernel call with the
-  // SIMD row fold inlined, in row order: the same per-destination
-  // accumulation order (and first-seen emission order) as the per-row
-  // path. rows_ stopped growing after pass 1, so the base pointer is
-  // stable.
-  kernels::detail::SlotFold(PooledFoldOp(kind_))(
-      rows_.data(), width_, slot_scratch_.data(), counts_.data(),
-      batch.payload.data(), batch.payload.cols(), n, partial);
-}
-
-// PooledAccumulator::Add / ::AddPartial — the retained per-row scalar
-// folds — live in the test/bench-only oracle target
-// (tests/oracles/message_scalar.cc), pinned against autovectorization,
-// because they are the oracle AddBatch and bench_superstep are held to.
-
-MessageBatch PooledAccumulator::ToPartialBatch(NodeId from) const {
-  MessageBatch batch;
-  batch.dst = dst_order_;
-  batch.src.assign(dst_order_.size(), from);
-  batch.payload = Tensor(static_cast<std::int64_t>(dst_order_.size()),
-                         width_ + 1);
-  for (std::size_t i = 0; i < dst_order_.size(); ++i) {
-    float* row = batch.payload.RowPtr(static_cast<std::int64_t>(i));
-    std::memcpy(row, rows_.data() + static_cast<std::int64_t>(i) * width_,
-                static_cast<std::size_t>(width_) * sizeof(float));
-    row[width_] = static_cast<float>(counts_[i]);
-  }
-  return batch;
-}
-
-PooledAccumulator::Finalized PooledAccumulator::Finalize() const {
-  Finalized out;
-  out.dst = dst_order_;
-  out.counts = counts_;
-  out.values = Tensor(static_cast<std::int64_t>(dst_order_.size()), width_);
-  for (std::size_t i = 0; i < dst_order_.size(); ++i) {
-    const float* src_row = rows_.data() + static_cast<std::int64_t>(i) *
-                                              width_;
-    float* dst_row = out.values.RowPtr(static_cast<std::int64_t>(i));
-    if (kind_ == AggKind::kMean && counts_[i] > 0) {
-      const float inv = 1.0f / static_cast<float>(counts_[i]);
-      for (std::int64_t j = 0; j < width_; ++j) dst_row[j] = src_row[j] * inv;
-    } else {
-      std::memcpy(dst_row, src_row,
-                  static_cast<std::size_t>(width_) * sizeof(float));
-    }
-  }
-  return out;
 }
 
 }  // namespace inferturbo

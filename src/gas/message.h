@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/byte_size.h"
-#include "src/gas/signature.h"
 #include "src/graph/graph.h"
 #include "src/graph/partition.h"
 #include "src/tensor/tensor.h"
@@ -69,86 +67,6 @@ struct MessageBatch {
 std::vector<MessageBatch> SplitByWorker(MessageBatch batch,
                                         const HashPartitioner& partitioner,
                                         std::int64_t num_workers);
-
-/// Accumulates pooled (sum/mean/max/min) aggregates keyed by
-/// destination node, supporting both receiver-side gather and
-/// sender-side combining (partial-gather). Mean is carried as
-/// (sum, count) so partial combines stay exact — the commutative/
-/// associative contract the paper's aggregate stage requires.
-class PooledAccumulator {
- public:
-  PooledAccumulator(AggKind kind, std::int64_t width);
-
-  PooledAccumulator(const PooledAccumulator&) = delete;
-  PooledAccumulator& operator=(const PooledAccumulator&) = delete;
-  PooledAccumulator(PooledAccumulator&&) = default;
-  PooledAccumulator& operator=(PooledAccumulator&&) = default;
-
-  /// Clears all accumulated state and rebinds the aggregate kind and
-  /// row width, keeping every allocation (rows, index, scratch tables)
-  /// for reuse. Engines hold one accumulator per worker across
-  /// supersteps and Reset it per destination partition instead of
-  /// constructing a fresh one in the hot loop.
-  void Reset(AggKind kind, std::int64_t width);
-
-  /// Folds one message row for `dst` (count 1). Add and AddPartial are
-  /// the scalar oracle AddBatch is held to; they are defined in the
-  /// test/bench-only oracle target (tests/oracles), not the library.
-  void Add(NodeId dst, const float* row);
-  /// Folds a partial aggregate row for `dst` carrying `count` original
-  /// messages.
-  void AddPartial(NodeId dst, const float* row, std::int64_t count);
-  /// Folds a whole batch in row order — bit-identical to calling Add
-  /// (or AddPartial, when `partial` and the payload carries a trailing
-  /// count column) per row, including first-seen destination order.
-  /// When the batch's destination id range is modest relative to its
-  /// size (the power-law common case) slot resolution runs through a
-  /// dense scratch table — one array load per row, a hash probe only on
-  /// first sight of each destination — and the value fold runs through
-  /// the dispatched SIMD row kernels instead of a scalar loop per
-  /// message.
-  void AddBatch(const MessageBatch& batch, bool partial);
-
-  /// Emits one message per destination: payload = aggregate row with
-  /// the count appended as a final column so downstream merges stay
-  /// exact. `src` on every message is `from` (the combining worker).
-  MessageBatch ToPartialBatch(NodeId from) const;
-
-  /// Finalized values (divided by count for mean), with destinations
-  /// and counts aligned to rows, in first-seen order.
-  struct Finalized {
-    std::vector<NodeId> dst;
-    std::vector<std::int64_t> counts;
-    Tensor values;
-  };
-  Finalized Finalize() const;
-
-  std::int64_t width() const { return width_; }
-  bool empty() const { return dst_order_.empty(); }
-  std::int64_t num_destinations() const {
-    return static_cast<std::int64_t>(dst_order_.size());
-  }
-
- private:
-  /// Slot of `dst` in rows_/dst_order_/counts_, inserting (and
-  /// extending storage by one initialized row) on first sight.
-  std::int64_t SlotFor(NodeId dst);
-  float* RowFor(NodeId dst, std::int64_t count_delta);
-
-  AggKind kind_;
-  std::int64_t width_;
-  /// Aggregate rows in first-seen order, width_ floats each.
-  std::vector<float> rows_;
-  std::vector<NodeId> dst_order_;
-  std::vector<std::int64_t> counts_;
-  std::unordered_map<NodeId, std::int64_t> index_;
-  /// AddBatch scratch: dst id -> slot (-1 unseen this call), kept as a
-  /// member so repeated batches reuse the allocation.
-  std::vector<std::int32_t> dense_slots_;
-  /// AddBatch scratch: per-row resolved slots, handed to the batch fold
-  /// kernel so the payload stream is read exactly once.
-  std::vector<std::int32_t> slot_scratch_;
-};
 
 }  // namespace inferturbo
 

@@ -8,303 +8,70 @@
 #include "src/common/logging.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
 
-BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          const std::vector<bool>& batch_partial,
-                          std::int64_t msg_dim,
-                          std::span<const std::int64_t> local_index,
-                          const BroadcastLookupFn& lookup) {
-  BucketedInbox inbox;
-  std::int64_t total = 0;
-  bool any_partial = false;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    total += batches[bi].size();
-    any_partial = any_partial ||
-                  (batch_partial[bi] && !batches[bi].empty());
-  }
-  inbox.rows = Tensor(total, msg_dim);
-  inbox.dst.resize(static_cast<std::size_t>(total));
-  if (any_partial) inbox.counts.assign(static_cast<std::size_t>(total), 1);
-
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(msg_dim) * sizeof(float);
-  std::int64_t row = 0;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    const MessageBatch& b = batches[bi];
-    if (b.empty()) continue;
-    const bool partial = batch_partial[bi];
-    const bool id_only = b.payload.cols() == 0;
-    const std::int64_t n = b.size();
-    // Destination segments: one local-index gather per row.
-    std::int64_t* pdst = inbox.dst.data() + row;
-    if (local_index.empty()) {
-      std::memset(pdst, 0, static_cast<std::size_t>(n) * sizeof(std::int64_t));
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) {
-        pdst[i] = local_index[static_cast<std::size_t>(
-            b.dst[static_cast<std::size_t>(i)])];
-      }
-    }
-    // Payload rows.
-    if (id_only) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::vector<float>* value =
-            lookup(b.src[static_cast<std::size_t>(i)]);
-        INFERTURBO_CHECK(value != nullptr)
-            << "missing broadcast value for node "
-            << b.src[static_cast<std::size_t>(i)];
-        std::memcpy(inbox.rows.RowPtr(row + i), value->data(), row_bytes);
-      }
-    } else if (partial) {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim + 1)
-          << "partial batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* src = b.payload.RowPtr(i);
-        std::memcpy(inbox.rows.RowPtr(row + i), src, row_bytes);
-        inbox.counts[static_cast<std::size_t>(row + i)] =
-            static_cast<std::int64_t>(src[msg_dim]);
-      }
-    } else {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim)
-          << "dense batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      // Dense payloads are already the flat form: one block copy.
-      std::memcpy(inbox.rows.RowPtr(row), b.payload.data(),
-                  static_cast<std::size_t>(n) * row_bytes);
-    }
-    row += n;
-  }
-  return inbox;
-}
-
-GatherResult ReduceBucketedInbox(AggKind kind, BucketedInbox inbox,
-                                 std::int64_t num_nodes) {
+GatherResult FoldMessages(AggKind kind, std::int64_t msg_dim,
+                          FoldInput input, std::int64_t num_segments) {
   GatherResult result;
   result.kind = kind;
-  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
+  result.counts.assign(static_cast<std::size_t>(num_segments), 0);
+  const bool counted = !input.counts.empty();
+  const std::size_t n = input.segs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t s = input.segs[i];
+    INFERTURBO_CHECK(0 <= s && s < num_segments)
+        << "fold segment " << s << " out of [0," << num_segments << ")";
+    result.counts[static_cast<std::size_t>(s)] += counted ? input.counts[i] : 1;
+  }
 
   if (kind == AggKind::kUnion) {
-    INFERTURBO_CHECK(inbox.counts.empty())
-        << "union layer received a partial aggregate";
-    for (std::int64_t s : inbox.dst) {
-      ++result.counts[static_cast<std::size_t>(s)];
+    INFERTURBO_CHECK(!counted) << "union layer received a partial aggregate";
+    result.messages = Tensor(static_cast<std::int64_t>(n), msg_dim);
+    if (msg_dim > 0) {
+      const std::size_t row_bytes =
+          static_cast<std::size_t>(msg_dim) * sizeof(float);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::memcpy(result.messages.RowPtr(static_cast<std::int64_t>(i)),
+                    input.rows[i], row_bytes);
+      }
     }
-    result.messages = std::move(inbox.rows);
-    result.dst_index = std::move(inbox.dst);
+    result.dst_index = std::move(input.segs);
     return result;
   }
 
-  // True folded message count per node (partial rows carry more than
-  // one original message, so this is NOT the row count).
-  if (inbox.counts.empty()) {
-    for (std::int64_t s : inbox.dst) {
-      ++result.counts[static_cast<std::size_t>(s)];
-    }
-  } else {
-    for (std::size_t i = 0; i < inbox.dst.size(); ++i) {
-      result.counts[static_cast<std::size_t>(inbox.dst[i])] +=
-          inbox.counts[i];
-    }
-  }
-
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kMean:
-      // Mean is a sum here: the divisor is the true count below, which
-      // kernels::SegmentMean (row count) would get wrong for partials.
-      result.pooled = kernels::SegmentSum(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kMax:
-      result.pooled = kernels::SegmentMax(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kMin:
-      result.pooled = kernels::SegmentMin(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kUnion:
-      INFERTURBO_CHECK(false) << "unreachable";
-  }
-  // Isolated nodes are already zero (SegmentSum init, the extremum
-  // kernels' empty-segment fill); only mean needs a finalize pass.
-  if (kind == AggKind::kMean) {
-    const std::int64_t msg_dim = result.pooled.cols();
-    float* pooled = result.pooled.data();
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] == 0) continue;
-            const float inv = 1.0f / static_cast<float>(counts[v]);
-            float* acc = pooled + v * msg_dim;
-            for (std::int64_t j = 0; j < msg_dim; ++j) acc[j] *= inv;
-          }
-        });
-  }
-  return result;
-}
-
-namespace {
-
-// Pooled kinds skip the BucketedInbox materialization entirely: the
-// segment fold reads rows straight out of the delivered batch payloads
-// (partial rows through their wider stride, broadcast references
-// through pre-resolved board pointers), so the memory traffic matches
-// the scalar oracle's single pass while the folds run 8-wide. Fold
-// order per destination is still batch order then row order — the
-// bit-identity contract — because tasks own destination ranges and
-// every task walks the batches in delivery order.
-GatherResult GatherPooledFused(AggKind kind, std::int64_t msg_dim,
-                               std::span<const MessageBatch> batches,
-                               const std::vector<bool>& batch_partial,
-                               std::span<const std::int64_t> local_index,
-                               std::int64_t num_nodes,
-                               const BroadcastLookupFn& lookup) {
-  GatherResult result;
-  result.kind = kind;
-  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-
-  std::int64_t total = 0;
-  for (const MessageBatch& b : batches) total += b.size();
-  if (total == 0 || num_nodes == 0) {
-    result.pooled = Tensor(num_nodes, msg_dim);
-    return result;
-  }
   const bool sum_like = kind == AggKind::kSum || kind == AggKind::kMean;
+  const kernels::FoldOp op = kind == AggKind::kMax   ? kernels::FoldOp::kMax
+                             : kind == AggKind::kMin ? kernels::FoldOp::kMin
+                                                     : kernels::FoldOp::kAdd;
   result.pooled =
-      sum_like ? Tensor(num_nodes, msg_dim)
-               : Tensor::Full(num_nodes, msg_dim,
+      sum_like ? Tensor(num_segments, msg_dim)
+               : Tensor::Full(num_segments, msg_dim,
                               kind == AggKind::kMax
                                   ? -std::numeric_limits<float>::infinity()
                                   : std::numeric_limits<float>::infinity());
+  kernels::SegmentFold(op, input.rows, input.segs, msg_dim, num_segments,
+                       result.pooled.data());
 
-  // Serial prologue: per-row destination segments, true message counts,
-  // and broadcast-row resolution (the lookup is not required to be
-  // thread-safe, so it runs before the fan-out).
-  std::vector<std::int32_t> segs(static_cast<std::size_t>(total));
-  std::vector<const float*> resolved;
-  std::int64_t base = 0;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    const MessageBatch& b = batches[bi];
-    if (b.empty()) continue;
-    const std::int64_t n = b.size();
-    std::int32_t* ps = segs.data() + base;
-    if (local_index.empty()) {
-      std::fill(ps, ps + n, 0);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) {
-        ps[i] = static_cast<std::int32_t>(local_index[static_cast<std::size_t>(
-            b.dst[static_cast<std::size_t>(i)])]);
-      }
-    }
-    if (b.payload.cols() == 0) {  // id-only broadcast references
-      if (resolved.empty()) {
-        resolved.assign(static_cast<std::size_t>(total), nullptr);
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::vector<float>* value =
-            lookup(b.src[static_cast<std::size_t>(i)]);
-        INFERTURBO_CHECK(value != nullptr)
-            << "missing broadcast value for node "
-            << b.src[static_cast<std::size_t>(i)];
-        resolved[static_cast<std::size_t>(base + i)] = value->data();
-        ++result.counts[static_cast<std::size_t>(ps[i])];
-      }
-    } else if (batch_partial[bi]) {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim + 1)
-          << "partial batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      const float* pv = b.payload.data();
-      const std::int64_t stride = msg_dim + 1;
-      for (std::int64_t i = 0; i < n; ++i) {
-        result.counts[static_cast<std::size_t>(ps[i])] +=
-            static_cast<std::int64_t>(pv[i * stride + msg_dim]);
-      }
-    } else {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim)
-          << "dense batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      for (std::int64_t i = 0; i < n; ++i) {
-        ++result.counts[static_cast<std::size_t>(ps[i])];
-      }
-    }
-    base += n;
-  }
-
-  const kernels::detail::FoldOp op = kind == AggKind::kMax
-                                         ? kernels::detail::FoldOp::kMax
-                                     : kind == AggKind::kMin
-                                         ? kernels::detail::FoldOp::kMin
-                                         : kernels::detail::FoldOp::kAdd;
-  const kernels::detail::SegFoldFn seg_fold = kernels::detail::SegFold(op);
-  const kernels::detail::RowFoldFn row_fold =
-      op == kernels::detail::FoldOp::kMax   ? kernels::detail::RowMax()
-      : op == kernels::detail::FoldOp::kMin ? kernels::detail::RowMin()
-                                            : kernels::detail::RowAdd();
+  // Finalize: extrema flip an empty segment's +-inf init to the neutral
+  // zero (sums start at zero); mean divides by the folded count.
+  if (sum_like && kind != AggKind::kMean) return result;
   float* po = result.pooled.data();
-  const std::int64_t work_per_segment =
-      total * msg_dim / std::max<std::int64_t>(1, num_nodes);
+  const std::int64_t* counts = result.counts.data();
   kernels::ParallelForRanges(
-      num_nodes, work_per_segment, [&](std::int64_t s0, std::int64_t s1) {
-        std::int64_t at = 0;
-        for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-          const MessageBatch& b = batches[bi];
-          if (b.empty()) continue;
-          const std::int64_t n = b.size();
-          const std::int32_t* ps = segs.data() + at;
-          if (b.payload.cols() == 0) {
-            // Broadcast references fold through their resolved board
-            // pointers — few rows (one per hub reference), so the
-            // per-row dispatched fold is fine here.
-            const float* const* pr = resolved.data() + at;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::int64_t s = ps[i];
-              if (s >= s0 && s < s1) {
-                row_fold(po + s * msg_dim, pr[i], msg_dim);
-              }
-            }
-          } else {
-            // Contiguous payloads take the batch kernel: the row fold
-            // is inlined, so the payload stream — the dominant traffic
-            // of the whole gather — runs call-free.
-            seg_fold(po, msg_dim, ps, b.payload.data(), b.payload.cols(), n,
-                     s0, s1);
-          }
-          at += n;
-        }
-      });
-
-  // Isolated nodes: extrema flip their +-inf init to the neutral zero;
-  // sum/mean are already zero.
-  if (!sum_like) {
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] != 0) continue;
-            float* row = po + v * msg_dim;
-            std::fill(row, row + msg_dim, 0.0f);
-          }
-        });
-  }
-  if (kind == AggKind::kMean) {
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] == 0) continue;
+      num_segments, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
+        for (std::int64_t v = v0; v < v1; ++v) {
+          float* acc = po + v * msg_dim;
+          if (counts[v] == 0) {
+            std::fill(acc, acc + msg_dim, 0.0f);
+          } else if (kind == AggKind::kMean) {
             const float inv = 1.0f / static_cast<float>(counts[v]);
-            float* acc = po + v * msg_dim;
             for (std::int64_t j = 0; j < msg_dim; ++j) acc[j] *= inv;
           }
-        });
-  }
+        }
+      });
   return result;
 }
-
-}  // namespace
 
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
@@ -312,16 +79,117 @@ GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const std::int64_t> local_index,
                                   std::int64_t num_nodes,
                                   const BroadcastLookupFn& lookup) {
-  if (kind == AggKind::kUnion) {
-    // Union keeps the raw rows, so the flat materialization IS the
-    // result; the fused fold has nothing to save.
-    return ReduceBucketedInbox(
-        kind, BucketInbox(batches, batch_partial, msg_dim, local_index,
-                          lookup),
-        num_nodes);
+  std::size_t total = 0;
+  bool any_partial = false;
+  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+    total += batches[bi].dst.size();
+    any_partial = any_partial || (batch_partial[bi] && !batches[bi].empty());
   }
-  return GatherPooledFused(kind, msg_dim, batches, batch_partial, local_index,
-                           num_nodes, lookup);
+  FoldInput input;
+  input.segs.reserve(total);
+  input.rows.reserve(total);
+  if (any_partial) input.counts.reserve(total);
+  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+    const MessageBatch& b = batches[bi];
+    if (b.empty()) continue;
+    const std::int64_t n = b.size();
+    for (const NodeId d : b.dst) {
+      input.segs.push_back(
+          local_index.empty() ? 0 : local_index[static_cast<std::size_t>(d)]);
+    }
+    // Zero-width payloads are id-only broadcast references: the row is
+    // the published board value. The lookup is not required to be
+    // thread-safe, so every reference resolves here, before the fold.
+    const bool id_only = b.payload.cols() == 0;
+    const bool partial = batch_partial[bi] && !id_only;
+    if (id_only) {
+      for (const NodeId key : b.src) {
+        const std::vector<float>* value = lookup(key);
+        INFERTURBO_CHECK(value != nullptr)
+            << "missing broadcast value for node " << key;
+        input.rows.push_back(value->data());
+      }
+    } else {
+      const std::int64_t width = partial ? msg_dim + 1 : msg_dim;
+      INFERTURBO_CHECK(b.payload.cols() == width)
+          << (partial ? "partial" : "dense") << " batch width "
+          << b.payload.cols() << " vs message dim " << msg_dim;
+      for (std::int64_t i = 0; i < n; ++i) {
+        input.rows.push_back(b.payload.RowPtr(i));
+      }
+    }
+    if (!any_partial) continue;
+    // A partial row's folded count rides in its trailing column.
+    for (std::int64_t i = 0; i < n; ++i) {
+      input.counts.push_back(
+          partial ? static_cast<std::int64_t>(b.payload.RowPtr(i)[msg_dim])
+                  : 1);
+    }
+  }
+  return FoldMessages(kind, msg_dim, std::move(input), num_nodes);
+}
+
+MessageBatch CombineMessages(AggKind kind, std::int64_t msg_dim,
+                             std::span<const NodeId> dst,
+                             std::vector<const float*> rows,
+                             std::span<const std::int64_t> local_index,
+                             std::int64_t num_local, NodeId from) {
+  INFERTURBO_CHECK(kind != AggKind::kUnion)
+      << "a union aggregate has no partial form";
+  INFERTURBO_CHECK(dst.size() == rows.size())
+      << "combine of " << dst.size() << " destinations and " << rows.size()
+      << " rows";
+  // Slots in first-seen destination order: the partial batch's row
+  // order, and so its wire bytes, follow the order messages were sent.
+  std::vector<std::int32_t> slot_of(static_cast<std::size_t>(num_local), -1);
+  std::vector<NodeId> order;
+  FoldInput input;
+  input.segs.reserve(dst.size());
+  input.rows = std::move(rows);
+  for (const NodeId d : dst) {
+    const std::int64_t key =
+        local_index.empty() ? d : local_index[static_cast<std::size_t>(d)];
+    INFERTURBO_CHECK(0 <= key && key < num_local)
+        << "combine key " << key << " out of [0," << num_local << ")";
+    std::int32_t& slot = slot_of[static_cast<std::size_t>(key)];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(order.size());
+      order.push_back(d);
+    }
+    input.segs.push_back(slot);
+  }
+  const auto slots = static_cast<std::int64_t>(order.size());
+  // Mean travels as running sums; the receiver divides by the merged
+  // count column.
+  const GatherResult folded =
+      FoldMessages(kind == AggKind::kMean ? AggKind::kSum : kind, msg_dim,
+                   std::move(input), slots);
+
+  MessageBatch partial;
+  partial.payload = Tensor(slots, msg_dim + 1);
+  for (std::int64_t s = 0; s < slots; ++s) {
+    float* row = partial.payload.RowPtr(s);
+    std::copy_n(folded.pooled.RowPtr(s), msg_dim, row);
+    row[msg_dim] =
+        static_cast<float>(folded.counts[static_cast<std::size_t>(s)]);
+  }
+  partial.src.assign(order.size(), from);
+  partial.dst = std::move(order);
+  return partial;
+}
+
+MessageBatch CombineMessages(AggKind kind, const MessageBatch& batch,
+                             NodeId from) {
+  std::vector<const float*> rows;
+  rows.reserve(batch.dst.size());
+  for (std::int64_t i = 0; i < batch.size(); ++i) {
+    rows.push_back(batch.payload.RowPtr(i));
+  }
+  const NodeId max_dst =
+      batch.empty() ? -1
+                    : *std::max_element(batch.dst.begin(), batch.dst.end());
+  return CombineMessages(kind, batch.payload.cols(), batch.dst,
+                         std::move(rows), {}, max_dst + 1, from);
 }
 
 }  // namespace inferturbo

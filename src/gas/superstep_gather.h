@@ -11,13 +11,15 @@
 
 namespace inferturbo {
 
-/// The superstep gather data plane, shared by both backends: a worker's
-/// inbox (Pregel) or a key group's message values (MapReduce) is first
-/// flattened into dst-segmented arrays in one counting pass —
-/// BucketedInbox — then reduced with the parallel segment kernels.
-/// Everything here preserves the scalar fold's accumulation order
-/// exactly (per destination: batch order, then row order within a
-/// batch), so results are bit-identical to the retained per-row oracle
+/// The message data plane's one fold, shared by both backends. Every
+/// aggregation of messages, the paper's `aggregate` stage in all of its
+/// roles, is one FoldMessages call: the Pregel receiver's gather
+/// (GatherSuperstepInbox), the Pregel sender's partial-gather combine
+/// (CombineMessages), the MapReduce reduce and map-side combiner, and
+/// the serving and reference gathers (GatherIntoResult). Each caller
+/// only lists where its message rows already live. FoldMessages folds
+/// them through kernels::SegmentFold in input order per destination,
+/// so results are bit-identical to the retained per-row scalar oracle
 /// at any thread count.
 
 /// Resolves a broadcast key (id-only message reference) to its
@@ -25,46 +27,58 @@ namespace inferturbo {
 using BroadcastLookupFn =
     std::function<const std::vector<float>*(NodeId)>;
 
-/// A flattened inbox: every message row materialized (broadcast refs
-/// resolved, partial rows stripped of their trailing count column),
-/// with its destination segment id and folded message count.
-struct BucketedInbox {
-  /// (n × msg_dim) resolved message rows, in inbox order.
-  Tensor rows;
-  /// Local destination segment per row, in [0, num_nodes).
-  std::vector<std::int64_t> dst;
-  /// Original-message count each row carries; empty means all 1 (no
-  /// partial batches were present).
+/// One fold's input, in fold order: row i is the `msg_dim` floats at
+/// rows[i] (a dense payload row, a partial row without its trailing
+/// count column, a broadcast value, a shuffle-arena slice), folded into
+/// segment segs[i]. counts[i] is how many original messages row i
+/// carries; empty means one each (no partial aggregates present).
+struct FoldInput {
+  std::vector<std::int64_t> segs;
+  std::vector<const float*> rows;
   std::vector<std::int64_t> counts;
 };
 
-/// Flattens `batches` in one counting pass. `batch_partial[i]` marks
-/// batch i as pre-pooled (payload has a trailing count column);
+/// Folds `input` into a GatherResult over `num_segments` segments.
+/// sum/mean/max/min fold through kernels::SegmentFold; mean divides by
+/// the true folded count, not the row count, so partial rows merge
+/// exactly; a segment that received nothing reads zero with count 0.
+/// Union copies the rows out in input order, with their segments as
+/// dst_index; it aborts on partial input (counts present).
+GatherResult FoldMessages(AggKind kind, std::int64_t msg_dim,
+                          FoldInput input, std::int64_t num_segments);
+
+/// The Pregel receiver's gather over a worker inbox. `batch_partial[i]`
+/// marks batch i as pre-pooled (payload has a trailing count column);
 /// zero-width payloads are id-only broadcast references resolved
 /// through `lookup` (which must return non-null for every referenced
 /// key). `local_index` maps a global dst id to its segment; an empty
-/// span sends every row to segment 0 (the MapReduce single-key case).
-BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          const std::vector<bool>& batch_partial,
-                          std::int64_t msg_dim,
-                          std::span<const std::int64_t> local_index,
-                          const BroadcastLookupFn& lookup);
-
-/// Segment-reduces a bucketed inbox into a finalized GatherResult over
-/// `num_nodes` segments: sum/mean/max/min run through the parallel
-/// kernels (mean divides by the true folded count, not the row count,
-/// so partial rows merge exactly); union moves the rows through
-/// untouched. Nodes that received nothing get a zero row and count 0.
-GatherResult ReduceBucketedInbox(AggKind kind, BucketedInbox inbox,
-                                 std::int64_t num_nodes);
-
-/// The full kernel-backed gather: BucketInbox + ReduceBucketedInbox.
+/// span sends every row to segment 0. Fold order per destination is
+/// batch order, then row order within a batch.
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
                                   const std::vector<bool>& batch_partial,
                                   std::span<const std::int64_t> local_index,
                                   std::int64_t num_nodes,
                                   const BroadcastLookupFn& lookup);
+
+/// The sender-side combine (partial-gather): rows[i] is a message of
+/// `msg_dim` floats to dst[i]. Returns one partial row per distinct
+/// destination, in first-seen order: the running aggregate (sums for
+/// mean, so receivers divide by the merged count) with the folded
+/// message count appended as a final column; every src is `from`.
+/// Destinations are slotted through a scratch table indexed by
+/// local_index[dst] in [0, num_local) (by the dst id itself when
+/// local_index is empty), so the fold's accumulators follow the
+/// distinct destinations, not the table size.
+MessageBatch CombineMessages(AggKind kind, std::int64_t msg_dim,
+                             std::span<const NodeId> dst,
+                             std::vector<const float*> rows,
+                             std::span<const std::int64_t> local_index,
+                             std::int64_t num_local, NodeId from);
+
+/// CombineMessages over the rows of a dense batch, slotted by dst id.
+MessageBatch CombineMessages(AggKind kind, const MessageBatch& batch,
+                             NodeId from);
 
 }  // namespace inferturbo
 

@@ -16,7 +16,6 @@
 #include "src/inference/job_frame.h"
 #include "src/mapreduce/mapreduce_engine.h"
 #include "src/telemetry/flight_recorder.h"
-#include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
@@ -185,9 +184,10 @@ class MrInferenceDriver {
         const AggKind kind = sig.agg_kind;
         const std::int64_t msg_dim = sig.message_dim;
         combiner = [kind, msg_dim](const MrBlock& block,
-                                   std::span<const std::uint32_t> run,
+                                   std::span<const std::uint32_t> records,
+                                   std::span<const std::size_t> runs,
                                    MrEmitter* out) {
-          CombineInMessages(kind, msg_dim, block, run, out);
+          CombineInMessages(kind, msg_dim, block, records, runs, out);
         };
       }
       INFERTURBO_RETURN_NOT_OK(job.RunReduce(
@@ -238,47 +238,50 @@ class MrInferenceDriver {
     std::span<const float> feats;
   };
 
-  /// Map-side combine of one key's run: this producer's foldable rows
-  /// (kInMessage of message width, kPartialAgg) fold into one
-  /// kPartialAgg record, written in place at the end of the output; the
-  /// other records pass through first, in run order.
+  /// Map-side combine of one destination's key runs: each run's
+  /// foldable rows (kInMessage of message width, kPartialAgg) fold, as
+  /// segment r of one FoldMessages call, into one kPartialAgg record
+  /// that follows the run's other records, which pass through in run
+  /// order.
   static void CombineInMessages(AggKind kind, std::int64_t msg_dim,
                                 const MrBlock& block,
-                                std::span<const std::uint32_t> run,
+                                std::span<const std::uint32_t> records,
+                                std::span<const std::size_t> runs,
                                 MrEmitter* out) {
     INFERTURBO_CHECK(kind != AggKind::kUnion) << "union is not combinable";
-    // Dispatched SIMD row fold: the max/min selects match
-    // std::max/std::min exactly (see row_fold.h).
-    const kernels::detail::RowFoldFn fold =
-        kind == AggKind::kMax   ? kernels::detail::RowMax()
-        : kind == AggKind::kMin ? kernels::detail::RowMin()
-                                : kernels::detail::RowAdd();
     const auto foldable = [&](std::uint32_t i) {
       return (block.tags[i] == kInMessage &&
               static_cast<std::int64_t>(block.Floats(i).size()) == msg_dim) ||
              block.tags[i] == kPartialAgg;
     };
-    for (const std::uint32_t i : run) {
-      if (!foldable(i)) out->block().AppendRecord(block, i);
-    }
-    // The first foldable row is emitted as the partial; later rows fold
-    // into its floats and count (nothing else is appended meanwhile).
-    MrBlock& partial = out->block();
-    float* acc = nullptr;
-    std::int64_t width = 0;
-    for (const std::uint32_t i : run) {
-      if (!foldable(i)) continue;
-      const std::int64_t count =
-          block.tags[i] == kPartialAgg ? block.Ids(i)[0] : 1;
-      if (acc == nullptr) {
-        out->Emit(block.keys[i], kPartialAgg, /*src=*/-1, block.Floats(i),
-                  std::span<const std::int64_t>(&count, 1));
-        width = static_cast<std::int64_t>(block.Floats(i).size());
-        acc = partial.floats.data() + partial.floats.size() - width;
-        continue;
+    const std::size_t num_runs = runs.size() - 1;
+    FoldInput input;
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      for (std::size_t k = runs[r]; k < runs[r + 1]; ++k) {
+        const std::uint32_t i = records[k];
+        if (!foldable(i)) continue;
+        INFERTURBO_CHECK(
+            static_cast<std::int64_t>(block.Floats(i).size()) == msg_dim)
+            << "partial width " << block.Floats(i).size() << " vs " << msg_dim;
+        input.segs.push_back(static_cast<std::int64_t>(r));
+        input.rows.push_back(block.Floats(i).data());
+        input.counts.push_back(
+            block.tags[i] == kPartialAgg ? block.Ids(i)[0] : 1);
       }
-      fold(acc, block.Floats(i).data(), width);
-      partial.ids.back() += count;
+    }
+    // Mean travels as running sums, like the Pregel sender combine.
+    const GatherResult folded =
+        FoldMessages(kind == AggKind::kMean ? AggKind::kSum : kind, msg_dim,
+                     std::move(input), static_cast<std::int64_t>(num_runs));
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      for (std::size_t k = runs[r]; k < runs[r + 1]; ++k) {
+        if (!foldable(records[k])) out->block().AppendRecord(block, records[k]);
+      }
+      const std::int64_t count = folded.counts[r];
+      if (count == 0) continue;  // the run had nothing to fold
+      out->Emit(block.keys[records[runs[r]]], kPartialAgg, /*src=*/-1,
+                RowSpan(folded.pooled, static_cast<std::int64_t>(r)),
+                std::span<const std::int64_t>(&count, 1));
     }
   }
 
@@ -328,7 +331,7 @@ class MrInferenceDriver {
   }
 
   /// One GNN layer over every key group of one reducer, as a batch:
-  /// group g's messages fold into segment g of one BucketedInbox, then
+  /// group g's messages fold into segment g of one FoldMessages call, then
   /// one ApplyNode and one ComputeMessage (or PredictLogits) call run
   /// over all groups, and EmitLayerInputs re-emits the batch.
   void ReduceLayer(std::int64_t layer_index, const MrKeyGroups& input,
@@ -371,14 +374,12 @@ class MrInferenceDriver {
     Tensor states(static_cast<std::int64_t>(groups),
                   static_cast<std::int64_t>(state_dim));
     // Group g's message rows go to segment g in ARRIVAL order — the fold
-    // order both backends' bit-identity contract pins.
-    BucketedInbox inbox;
-    inbox.rows = Tensor(msg_rows, msg_dim);
-    inbox.dst.resize(static_cast<std::size_t>(msg_rows));
-    if (any_partial) inbox.counts.assign(static_cast<std::size_t>(msg_rows), 1);
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(msg_dim) * sizeof(float);
-    std::int64_t row = 0;
+    // order both backends' bit-identity contract pins. Rows are read in
+    // place: shuffle-arena slices, or broadcast-table values for refs.
+    FoldInput inbox;
+    inbox.segs.reserve(static_cast<std::size_t>(msg_rows));
+    inbox.rows.reserve(static_cast<std::size_t>(msg_rows));
+    if (any_partial) inbox.counts.reserve(static_cast<std::size_t>(msg_rows));
     for (std::size_t g = 0; g < groups; ++g) {
       const std::span<const float> state =
           records.Floats(static_cast<std::size_t>(state_record[g]));
@@ -389,31 +390,27 @@ class MrInferenceDriver {
            i < input.group_offsets[g + 1]; ++i) {
         const std::int32_t tag = records.tags[i];
         if (!is_message(tag)) continue;
-        const float* payload = nullptr;
         if (tag == kRef) {
           const std::vector<float>* value = LookupBroadcast(records.src[i]);
           INFERTURBO_CHECK(value != nullptr)
               << "missing broadcast value for hub " << records.src[i];
-          payload = value->data();
+          inbox.rows.push_back(value->data());
         } else {
           INFERTURBO_CHECK(
               static_cast<std::int64_t>(records.Floats(i).size()) == msg_dim)
               << "message width " << records.Floats(i).size() << " vs "
               << msg_dim;
-          payload = records.Floats(i).data();
-          if (tag == kPartialAgg) {
-            inbox.counts[static_cast<std::size_t>(row)] = records.Ids(i)[0];
-          }
+          inbox.rows.push_back(records.Floats(i).data());
         }
-        std::memcpy(inbox.rows.RowPtr(row), payload, row_bytes);
-        inbox.dst[static_cast<std::size_t>(row)] =
-            static_cast<std::int64_t>(g);
-        ++row;
+        inbox.segs.push_back(static_cast<std::int64_t>(g));
+        if (any_partial) {
+          inbox.counts.push_back(tag == kPartialAgg ? records.Ids(i)[0] : 1);
+        }
       }
     }
 
-    const GatherResult gathered = ReduceBucketedInbox(
-        kind, std::move(inbox), static_cast<std::int64_t>(groups));
+    const GatherResult gathered = FoldMessages(
+        kind, msg_dim, std::move(inbox), static_cast<std::int64_t>(groups));
     const Tensor new_state = layer.ApplyNode(states, gathered);
 
     if (layer_index + 1 == model_.num_layers()) {

@@ -162,12 +162,11 @@ class PregelInferenceDriver {
   }
 
  private:
-  /// gather_nbrs + aggregate: vectorize the inbox into a GatherResult
-  /// in this worker's local index space via the shared kernel-backed
-  /// data plane (bucket into dst-segmented flat arrays, then segment-
-  /// reduce). Id-only rows (broadcast references) are resolved against
-  /// the board during bucketing. Bit-identical to the retained scalar
-  /// oracle (tests/oracles) at any thread count.
+  /// gather_nbrs + aggregate: fold the inbox into a GatherResult in
+  /// this worker's local index space through the one message fold
+  /// (dense rows, partial rows with their count column, and id-only
+  /// broadcast references through their board rows). Bit-identical to
+  /// the retained scalar oracle (tests/oracles) at any thread count.
   GatherResult GatherInbox(PregelContext* ctx, const WorkerState& worker,
                            const GasConv& layer) const {
     const std::int64_t local_n =
@@ -223,13 +222,13 @@ class PregelInferenceDriver {
     const std::int64_t msg_dim = sig.message_dim;
 
     // Partial path: per destination worker, the edges' destination ids
-    // and the row index each edge carries, collected in (node, edge)
-    // order; batched into the accumulators below.
+    // and the row each edge carries, collected in (node, edge) order;
+    // combined below.
     std::vector<std::vector<NodeId>> part_dst;
-    std::vector<std::vector<std::int64_t>> part_row;
+    std::vector<std::vector<const float*>> part_rows;
     if (route.partial_gather) {
       part_dst.resize(static_cast<std::size_t>(num_workers));
-      part_row.resize(static_cast<std::size_t>(num_workers));
+      part_rows.resize(static_cast<std::size_t>(num_workers));
     }
     // Hub out-edges become id-only reference rows. A partial-gather
     // layer sends all of them before its partial batches. Any other
@@ -290,7 +289,7 @@ class PregelInferenceDriver {
           const auto pw = static_cast<std::size_t>(
               engine_partitioner_->PartitionOf(d));
           part_dst[pw].push_back(d);
-          part_row[pw].push_back(r);
+          part_rows[pw].push_back(rows.RowPtr(r));
           r += row_step;
         }
         continue;
@@ -314,23 +313,17 @@ class PregelInferenceDriver {
     send_dense();
     send_refs();
     if (route.partial_gather) {
-      // Sender-side combine, one accumulator per destination worker:
-      // materialize each worker's per-edge rows with one batched row
-      // gather, then fold the whole batch through the SIMD combine —
-      // same first-seen destination order as per-edge Add calls, so the
-      // partial batch's wire bytes are unchanged.
-      PooledAccumulator acc(sig.agg_kind, msg_dim);
+      // Sender-side combine, one partial batch per destination worker,
+      // folded straight out of the message rows in (node, edge) order
+      // and emitted in first-seen destination order.
       for (std::int64_t w = 0; w < num_workers; ++w) {
-        auto& dst_ids = part_dst[static_cast<std::size_t>(w)];
-        if (dst_ids.empty()) continue;
-        MessageBatch carrier;
-        carrier.payload =
-            kernels::GatherRows(rows, part_row[static_cast<std::size_t>(w)]);
-        carrier.src.assign(dst_ids.size(), ctx->worker_id());
-        carrier.dst = std::move(dst_ids);
-        acc.Reset(sig.agg_kind, msg_dim);
-        acc.AddBatch(carrier, /*partial=*/false);
-        ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
+        const auto pw = static_cast<std::size_t>(w);
+        if (part_dst[pw].empty()) continue;
+        ctx->SendPartialBatch(CombineMessages(
+            sig.agg_kind, msg_dim, part_dst[pw], std::move(part_rows[pw]),
+            assignment_.local_index,
+            static_cast<std::int64_t>(assignment_.members[pw].size()),
+            ctx->worker_id()));
       }
     }
   }

@@ -125,9 +125,9 @@ void SortByKey(std::vector<KeyIndex>* pairs) {
 }
 
 /// Map-side combine of one destination's records (indices into `in`, in
-/// emission order) straight into `out`: key runs, each in emission
-/// order, are handed to the combiner in ascending key order, and what
-/// it emits is the block — the only copy of the payload bytes.
+/// emission order) straight into `out`: the records, sorted by key with
+/// each key's run in emission order, go to the combiner in one call, and
+/// what it emits is the block — the only copy of the payload bytes.
 void CombineInto(const MapReduceJob::CombineFn& combiner, const MrBlock& in,
                  std::span<const std::uint32_t> records, std::size_t num_floats,
                  std::size_t num_ids, MrBlock* out) {
@@ -136,17 +136,17 @@ void CombineInto(const MapReduceJob::CombineFn& combiner, const MrBlock& in,
     order[k] = {in.keys[records[k]], records[k]};
   }
   SortByKey(&order);
+  std::vector<std::uint32_t> sorted(order.size());
+  std::vector<std::size_t> runs{0};
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    sorted[k] = static_cast<std::uint32_t>(order[k].index);
+    if (k + 1 == order.size() || order[k + 1].key != order[k].key) {
+      runs.push_back(k + 1);
+    }
+  }
   MrEmitter combined;
   combined.block().Reserve(records.size(), num_floats, num_ids);
-  std::vector<std::uint32_t> run;
-  for (std::size_t k = 0; k < order.size();) {
-    const std::int64_t key = order[k].key;
-    run.clear();
-    for (; k < order.size() && order[k].key == key; ++k) {
-      run.push_back(static_cast<std::uint32_t>(order[k].index));
-    }
-    combiner(in, run, &combined);
-  }
+  combiner(in, sorted, runs, &combined);
   *out = std::move(combined.block());
 }
 

@@ -180,12 +180,14 @@ class MapReduceJob {
   using MapFn = std::function<void(std::int64_t instance, MrEmitter*)>;
   /// Called once per reducer per round with all of its key groups.
   using ReduceFn = std::function<void(const MrKeyGroups& input, MrEmitter*)>;
-  /// Producer-side combine of one key's run: `run` indexes that key's
-  /// records in `block`, in emission order; the replacement records are
-  /// emitted (under the same key) into `out`.
-  using CombineFn =
-      std::function<void(const MrBlock& block,
-                         std::span<const std::uint32_t> run, MrEmitter* out)>;
+  /// Producer-side combine of one destination's records, all key runs
+  /// in one call: `records` indexes `block` sorted by key, each key's
+  /// records in emission order, and key run r is
+  /// records[runs[r], runs[r+1]). Each run's replacement records are
+  /// emitted (under its key) into `out`, runs in order.
+  using CombineFn = std::function<void(
+      const MrBlock& block, std::span<const std::uint32_t> records,
+      std::span<const std::size_t> runs, MrEmitter* out)>;
 
   explicit MapReduceJob(Options options);
 

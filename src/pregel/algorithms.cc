@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/gas/superstep_gather.h"
 #include "src/pregel/pregel_engine.h"
 
 namespace inferturbo {
@@ -39,9 +40,7 @@ std::vector<double> PageRank(const Graph& graph,
 
   // Sum-combine contributions headed to the same destination.
   run.engine_options.combiner = [](std::int64_t, MessageBatch batch) {
-    PooledAccumulator acc(AggKind::kSum, batch.payload.cols());
-    acc.AddBatch(batch, /*partial=*/false);
-    return std::make_pair(acc.ToPartialBatch(-1), true);
+    return std::make_pair(CombineMessages(AggKind::kSum, batch, -1), true);
   };
   PregelEngine engine(run.engine_options, run.partitioner);
 

@@ -44,18 +44,12 @@ inline std::int64_t RangeBegin(std::int64_t n, std::int64_t t,
   return n * t / tasks;
 }
 
-/// The task that owns index `i` under the RangeBegin partition — the
-/// closed-form inverse, used to pre-bucket scattered rows by owner.
-inline int RangeOwner(std::int64_t i, std::int64_t n, std::int64_t tasks) {
-  return static_cast<int>(((i + 1) * tasks - 1) / n);
-}
-
 /// How many tasks a kernel launch over `n` items of `work_per_item`
 /// cost would fan out to under the current config (1 when the caller
 /// is already a pool worker — nested launches run serially).
-/// Kernels that pre-partition auxiliary state (row buckets) call this
-/// and then ParallelForChunksFixed with the same count, so the plan
-/// and the execution can never disagree.
+/// Kernels that pre-partition auxiliary state (matmul panels) call
+/// this and then ParallelForChunksFixed with the same count, so the
+/// plan and the execution can never disagree.
 int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item);
 
 /// Runs `fn(begin, end)` over a fixed contiguous partition of [0, n).
@@ -76,7 +70,7 @@ void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,
 
 /// ParallelForChunks at an exact task count (from PlanParallelTasks):
 /// runs precisely `tasks` chunks even when that exceeds the scheduler's
-/// threads, so owner-bucketed data built for `tasks` stays valid. From
+/// threads, so state partitioned for `tasks` stays valid. From
 /// inside a pool worker the chunks run inline, in task order.
 void ParallelForChunksFixed(std::int64_t n, int tasks,
                             const std::function<void(const RangeChunk&)>& fn);

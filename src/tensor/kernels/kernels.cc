@@ -219,91 +219,45 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-/// Owner buckets for destination-scattered rows: row indices grouped
-/// by the task that owns their destination under the RangeBegin
-/// partition, input order preserved within each task (the counting
-/// sort is stable). One serial O(rows) pass replaces the old
-/// scan-all-rows-and-filter scheme, whose id-scan traffic and branchy
-/// filter grew linearly with the task count — the reason segment ops
-/// used to get SLOWER with more threads.
-struct OwnerBuckets {
-  std::vector<std::int64_t> offsets;  // tasks + 1
-  std::vector<std::int64_t> rows;     // grouped by owner, input order kept
-};
-
-OwnerBuckets BucketRowsByOwner(const std::int64_t* ids, std::int64_t rows,
-                               std::int64_t num_dst, int tasks) {
-  OwnerBuckets buckets;
-  buckets.offsets.assign(static_cast<std::size_t>(tasks) + 1, 0);
-  for (std::int64_t i = 0; i < rows; ++i) {
-    ++buckets.offsets[static_cast<std::size_t>(
-        RangeOwner(ids[i], num_dst, tasks)) + 1];
+const char* FoldOpName(FoldOp op) {
+  switch (op) {
+    case FoldOp::kAdd:
+      return "segment_sum";
+    case FoldOp::kMax:
+      return "segment_max";
+    case FoldOp::kMin:
+      return "segment_min";
   }
-  for (int t = 0; t < tasks; ++t) {
-    buckets.offsets[static_cast<std::size_t>(t) + 1] +=
-        buckets.offsets[static_cast<std::size_t>(t)];
-  }
-  buckets.rows.resize(static_cast<std::size_t>(rows));
-  std::vector<std::int64_t> cursor(buckets.offsets.begin(),
-                                   buckets.offsets.end() - 1);
-  for (std::int64_t i = 0; i < rows; ++i) {
-    buckets.rows[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(
-            RangeOwner(ids[i], num_dst, tasks))]++)] = i;
-  }
-  return buckets;
+  return "segment_sum";
 }
 
-/// Shared body of the segment folds: destination-range ownership over
-/// segments; each task folds only its pre-bucketed rows, in input
-/// order. Accumulation order per segment matches the serial reference
-/// exactly at any task count (each segment is owned by one task, and
-/// that task sees its rows in the original order).
-void SegmentFoldInto(Tensor* out, const Tensor& values,
-                     std::span<const std::int64_t> ids,
-                     std::int64_t num_segments, detail::RowFoldFn fold) {
-  const std::int64_t cols = values.cols();
-  const float* pv = values.data();
-  float* po = out->data();
-  const std::int64_t* pid = ids.data();
-  const std::int64_t rows = static_cast<std::int64_t>(ids.size());
-  const std::int64_t work_per_segment =
-      rows * cols / std::max<std::int64_t>(1, num_segments);
-  const int tasks = PlanParallelTasks(num_segments, work_per_segment);
-  if (tasks <= 1) {
-    // One task: the reference loop, unfiltered and unbucketed.
-    for (std::int64_t i = 0; i < rows; ++i) {
-      fold(po + pid[i] * cols, pv + i * cols, cols);
-    }
-    return;
+/// Pointers to every row of `values`, the row form SegmentFold takes.
+std::vector<const float*> RowPointers(const Tensor& values) {
+  std::vector<const float*> rows(static_cast<std::size_t>(values.rows()));
+  for (std::int64_t i = 0; i < values.rows(); ++i) {
+    rows[static_cast<std::size_t>(i)] = values.RowPtr(i);
   }
-  const OwnerBuckets buckets =
-      BucketRowsByOwner(pid, rows, num_segments, tasks);
-  ParallelForChunksFixed(num_segments, tasks, [&](const RangeChunk& chunk) {
-    const std::int64_t lo =
-        buckets.offsets[static_cast<std::size_t>(chunk.task)];
-    const std::int64_t hi =
-        buckets.offsets[static_cast<std::size_t>(chunk.task) + 1];
-    for (std::int64_t p = lo; p < hi; ++p) {
-      const std::int64_t i = buckets.rows[static_cast<std::size_t>(p)];
-      fold(po + pid[i] * cols, pv + i * cols, cols);
-    }
-  });
+  return rows;
+}
+
+/// How many of `ids` name each segment.
+std::vector<std::int64_t> RowsPerSegment(std::span<const std::int64_t> ids,
+                                         std::int64_t num_segments) {
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(num_segments), 0);
+  for (std::int64_t id : ids) ++counts[static_cast<std::size_t>(id)];
+  return counts;
 }
 
 /// Max/min share everything but the init value and the fold.
-Tensor SegmentExtremum(const Tensor& values, std::span<const std::int64_t> ids,
-                       std::int64_t num_segments, float init,
-                       detail::RowFoldFn fold) {
+Tensor SegmentExtremum(FoldOp op, const Tensor& values,
+                       std::span<const std::int64_t> ids,
+                       std::int64_t num_segments, float init) {
   const std::int64_t cols = values.cols();
   Tensor out = Tensor::Full(num_segments, cols, init);
-  if (cols == 0) return out;
-  if (ids.empty()) return Tensor(num_segments, cols);  // all segments empty
-  SegmentFoldInto(&out, values, ids, num_segments, fold);
+  SegmentFold(op, RowPointers(values), ids, cols, num_segments, out.data());
   // Empty segments report zero rather than +-inf so downstream layers
   // see a neutral "no messages" value.
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(num_segments), 0);
-  for (std::int64_t id : ids) ++counts[static_cast<std::size_t>(id)];
+  const std::vector<std::int64_t> counts = RowsPerSegment(ids, num_segments);
   float* po = out.data();
   ParallelForRanges(num_segments, cols, [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t s = s0; s < s1; ++s) {
@@ -317,35 +271,42 @@ Tensor SegmentExtremum(const Tensor& values, std::span<const std::int64_t> ids,
 
 }  // namespace
 
+void SegmentFold(FoldOp op, std::span<const float* const> rows,
+                 std::span<const std::int64_t> segs, std::int64_t width,
+                 std::int64_t num_segments, float* out) {
+  INFERTURBO_CHECK(rows.size() == segs.size())
+      << "segment fold of " << rows.size() << " rows with " << segs.size()
+      << " segment ids";
+  const auto n = static_cast<std::int64_t>(segs.size());
+  AccountKernel(FoldOpName(op), SegmentFoldWork(n, width));
+  if (n == 0 || width == 0) return;
+  const detail::SegFoldFn fold = detail::SegFold(op);
+  const std::int64_t work_per_segment =
+      n * width / std::max<std::int64_t>(1, num_segments);
+  ParallelForRanges(num_segments, work_per_segment,
+                    [&](std::int64_t s0, std::int64_t s1) {
+                      fold(out, width, segs.data(), rows.data(), n, s0, s1);
+                    });
+}
+
 Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
-  const std::int64_t cols = values.cols();
-  AccountKernel("segment_sum",
-                SegmentFoldWork(static_cast<std::int64_t>(ids.size()), cols));
-  Tensor out(num_segments, cols);
-  if (ids.empty() || cols == 0) return out;
-  SegmentFoldInto(&out, values, ids, num_segments, detail::RowAdd());
+  Tensor out(num_segments, values.cols());
+  SegmentFold(FoldOp::kAdd, RowPointers(values), ids, values.cols(),
+              num_segments, out.data());
   return out;
 }
 
 Tensor SegmentMax(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
-  AccountKernel("segment_max",
-                SegmentFoldWork(static_cast<std::int64_t>(ids.size()),
-                                values.cols()));
-  return SegmentExtremum(values, ids, num_segments,
-                         -std::numeric_limits<float>::infinity(),
-                         detail::RowMax());
+  return SegmentExtremum(FoldOp::kMax, values, ids, num_segments,
+                         -std::numeric_limits<float>::infinity());
 }
 
 Tensor SegmentMin(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments) {
-  AccountKernel("segment_min",
-                SegmentFoldWork(static_cast<std::int64_t>(ids.size()),
-                                values.cols()));
-  return SegmentExtremum(values, ids, num_segments,
-                         std::numeric_limits<float>::infinity(),
-                         detail::RowMin());
+  return SegmentExtremum(FoldOp::kMin, values, ids, num_segments,
+                         std::numeric_limits<float>::infinity());
 }
 
 Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,
@@ -354,9 +315,7 @@ Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,
                 SegmentMeanWork(static_cast<std::int64_t>(ids.size()),
                                 values.cols(), num_segments));
   Tensor out = SegmentSum(values, ids, num_segments);
-  if (num_segments == 0) return out;
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(num_segments), 0);
-  for (std::int64_t id : ids) ++counts[static_cast<std::size_t>(id)];
+  const std::vector<std::int64_t> counts = RowsPerSegment(ids, num_segments);
   const std::int64_t cols = out.cols();
   float* po = out.data();
   ParallelForRanges(num_segments, cols,
@@ -397,44 +356,12 @@ Tensor GatherRows(const Tensor& a, std::span<const std::int64_t> indices) {
 
 void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
                     const Tensor& rows) {
-  AccountKernel("scatter_add_rows",
-                ScatterAddWork(static_cast<std::int64_t>(indices.size()),
-                               rows.cols()));
   for (std::int64_t idx : indices) {
     INFERTURBO_CHECK(0 <= idx && idx < acc->rows())
         << "ScatterAddRows index " << idx << " out of " << acc->rows();
   }
-  const std::int64_t num_rows = static_cast<std::int64_t>(indices.size());
-  const std::int64_t cols = rows.cols();
-  const std::int64_t acc_rows = acc->rows();
-  if (num_rows == 0 || cols == 0) return;
-  float* pa = acc->data();
-  const float* pr = rows.data();
-  const std::int64_t* pid = indices.data();
-  const std::int64_t work_per_acc_row =
-      num_rows * cols / std::max<std::int64_t>(1, acc_rows);
-  const int tasks = PlanParallelTasks(acc_rows, work_per_acc_row);
-  const detail::RowFoldFn add = detail::RowAdd();
-  if (tasks <= 1) {
-    for (std::int64_t i = 0; i < num_rows; ++i) {
-      add(pa + pid[i] * cols, pr + i * cols, cols);
-    }
-    return;
-  }
-  // Destination-range ownership with pre-bucketed rows: each task adds
-  // only its own destinations' rows, in input order, so accumulation
-  // per destination row matches the serial order at any task count.
-  const OwnerBuckets buckets = BucketRowsByOwner(pid, num_rows, acc_rows, tasks);
-  ParallelForChunksFixed(acc_rows, tasks, [&](const RangeChunk& chunk) {
-    const std::int64_t lo =
-        buckets.offsets[static_cast<std::size_t>(chunk.task)];
-    const std::int64_t hi =
-        buckets.offsets[static_cast<std::size_t>(chunk.task) + 1];
-    for (std::int64_t p = lo; p < hi; ++p) {
-      const std::int64_t i = buckets.rows[static_cast<std::size_t>(p)];
-      add(pa + pid[i] * cols, pr + i * cols, cols);
-    }
-  });
+  SegmentFold(FoldOp::kAdd, RowPointers(rows), indices, rows.cols(),
+              acc->rows(), acc->data());
 }
 
 }  // namespace kernels

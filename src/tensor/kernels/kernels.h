@@ -27,6 +27,25 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// The elementwise fold of a segment reduction (mean folds as add; its
+/// divide is a finalize step of the caller).
+enum class FoldOp { kAdd, kMax, kMin };
+
+/// The one segment fold every message aggregation runs through: for
+/// each i in input order, folds the `width` floats at rows[i] into
+/// out + segs[i]*width (out is num_segments × width, initialized by the
+/// caller). Rows are pointers, so callers fold straight out of wherever
+/// their messages live — tensor rows, wire payloads with a trailing
+/// count column, broadcast tables, shuffle arenas — without first
+/// copying them into one matrix. Tasks own destination-segment ranges
+/// and each scans the rows in input order, folding only its own, so
+/// the fold order per segment is the input order at any thread count.
+/// Charges kernel.segment_{sum,max,min}.{calls,flops,bytes}.
+void SegmentFold(FoldOp op, std::span<const float* const> rows,
+                 std::span<const std::int64_t> segs, std::int64_t width,
+                 std::int64_t num_segments, float* out);
+
+/// Tensor forms of SegmentFold over the rows of `values`.
 Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments);
 Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,
@@ -43,6 +62,7 @@ Tensor SegmentMin(const Tensor& values, std::span<const std::int64_t> ids,
 
 /// Bounds-checks indices (aborts like the reference on a bad index).
 Tensor GatherRows(const Tensor& a, std::span<const std::int64_t> indices);
+/// SegmentFold(kAdd) of `rows` into the rows of `acc`.
 void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
                     const Tensor& rows);
 

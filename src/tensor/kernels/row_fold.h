@@ -3,121 +3,59 @@
 
 #include <cstdint>
 
+#include "src/tensor/kernels/kernels.h"
+
 namespace inferturbo {
 namespace kernels {
 namespace detail {
 
-/// Elementwise row-fold primitives — the inner loop of every segment
-/// reduction and pooled combine in the superstep data plane. The same
-/// three operations are compiled twice: a portable TU and an AVX2 TU
-/// (vector width only; the scalar semantics below are reproduced lane
-/// for lane so results stay bit-identical across ISAs).
+/// The batch kernels behind kernels::SegmentFold, the one fold every
+/// message aggregation in the system runs through: the Pregel gather
+/// and sender combine, the MapReduce reduce and combiner, the serving
+/// and reference gathers, and the SegmentSum/Mean/Max/Min and
+/// ScatterAddRows tensor ops. One kernel per FoldOp is compiled twice:
+/// a portable TU and an AVX2 TU (vector width only; the scalar
+/// semantics below are reproduced lane for lane so results stay
+/// bit-identical across ISAs).
 ///
-/// Semantics per element j (exactly the retained scalar folds):
+/// For each row i in [0, n) whose segment s = segs[i] lies in [s0, s1),
+/// in index order, fold the `width` floats at rows[i] into
+/// out + s*width, per element j:
 ///   add: acc[j] += row[j]
 ///   max: acc[j] = (acc[j] < row[j]) ? row[j] : acc[j]
 ///   min: acc[j] = (row[j] < acc[j]) ? row[j] : acc[j]
 /// The max/min selects match std::max/std::min: a NaN row entry never
 /// replaces the accumulator, and +-0.0 keeps the accumulator's sign.
-/// (A plain vmaxps/vminps would violate both — the AVX2 TU uses
-/// cmp+blend instead.)
-///
-/// `acc` and `row` must not alias.
-
-using RowFoldFn = void (*)(float* acc, const float* row, std::int64_t n);
-
-void RowAddPortable(float* acc, const float* row, std::int64_t n);
-void RowMaxPortable(float* acc, const float* row, std::int64_t n);
-void RowMinPortable(float* acc, const float* row, std::int64_t n);
-
-void RowAddAvx2(float* acc, const float* row, std::int64_t n);
-void RowMaxAvx2(float* acc, const float* row, std::int64_t n);
-void RowMinAvx2(float* acc, const float* row, std::int64_t n);
+/// (A plain vmaxps/vminps would violate both, so the AVX2 TU uses
+/// cmp+blend instead.) Rows outside [s0, s1) only cost the segment
+/// load: that filtered scan is how parallel tasks keep destination
+/// ownership. Source rows must not alias `out`.
+using SegFoldFn = void (*)(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1);
 
 /// Dispatched once per process (same availability check as the matmul
-/// tiles: compiled-in AND supported by the running CPU).
-RowFoldFn RowAdd();
-RowFoldFn RowMax();
-RowFoldFn RowMin();
-
-/// The fold operation behind an AggKind (mean folds as add; the divide
-/// is a finalize step).
-enum class FoldOp { kAdd, kMax, kMin };
-
-/// Batch-granularity folds. The payload stream of a superstep inbox is
-/// the dominant memory traffic of gather/combine; calling a RowFoldFn
-/// per message puts an indirect call in that stream's inner loop. These
-/// variants take the whole batch so the row fold inlines and the loop
-/// runs call-free. Both apply rows strictly in index order — the same
-/// order as the per-row fold, so results stay bit-identical.
-
-/// For each row i in [0, n):
-///   counts[slots[i]] += partial ? (int64)payload[i*stride + width] : 1
-///   fold(rows + slots[i]*width, payload + i*stride, width)
-/// Slots must be pre-resolved and rows pre-initialized (the
-/// PooledAccumulator AddBatch shape).
-using SlotFoldFn = void (*)(float* rows, std::int64_t width,
-                            const std::int32_t* slots, std::int64_t* counts,
-                            const float* payload, std::int64_t stride,
-                            std::int64_t n, bool partial);
-SlotFoldFn SlotFold(FoldOp op);
-
-/// For each row i in [0, n) whose segment s = segs[i] lies in [s0, s1):
-///   fold(out + s*width, payload + i*stride, width)
-/// Rows outside the range only cost the segment load — the filtered
-/// scan ParallelForRanges tasks use to keep destination ownership.
-using SegFoldFn = void (*)(float* out, std::int64_t width,
-                           const std::int32_t* segs, const float* payload,
-                           std::int64_t stride, std::int64_t n,
-                           std::int64_t s0, std::int64_t s1);
+/// tiles: compiled in AND supported by the running CPU).
 SegFoldFn SegFold(FoldOp op);
 
-void SlotFoldAddPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
-void SlotFoldMaxPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
-void SlotFoldMinPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
-void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial);
-void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial);
-void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial);
-
 void SegFoldAddPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1);
 void SegFoldMaxPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1);
 void SegFoldMinPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1);
+void SegFoldAddAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1);
+void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1);
+void SegFoldMinAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1);
 
 }  // namespace detail
 }  // namespace kernels

@@ -1,4 +1,4 @@
-// AVX2 instantiation of the row-fold primitives. Compiled with -mavx2
+// AVX2 instantiation of the segment-fold batch kernels. Compiled with -mavx2
 // (and, like every fast TU, without -mfma) when the toolchain targets
 // x86-64; elsewhere it degrades to forwarding wrappers. Callers must
 // gate on Avx2KernelsAvailable().
@@ -24,8 +24,8 @@ namespace detail {
 
 namespace {
 
-// One fold body each, expressed as a static Apply so the batch loops
-// below instantiate with the fold inlined — no per-row indirect call in
+// One fold body each, expressed as a static Apply so the batch loop
+// below instantiates with the fold inlined: no per-row indirect call in
 // the payload stream.
 struct AddFold {
   static inline void Apply(float* __restrict__ acc,
@@ -75,138 +75,49 @@ struct MinFold {
 };
 
 template <typename Fold>
-void SlotFoldImpl(float* rows, std::int64_t width, const std::int32_t* slots,
-                  std::int64_t* counts, const float* payload,
-                  std::int64_t stride, std::int64_t n, bool partial) {
-  if (partial) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      counts[s] += static_cast<std::int64_t>(row[width]);
-      Fold::Apply(rows + s * width, row, width);
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      ++counts[s];
-      Fold::Apply(rows + s * width, row, width);
-    }
-  }
-}
-
-template <typename Fold>
-void SegFoldImpl(float* out, std::int64_t width, const std::int32_t* segs,
-                 const float* payload, std::int64_t stride, std::int64_t n,
-                 std::int64_t s0, std::int64_t s1) {
+void SegFoldImpl(float* out, std::int64_t width, const std::int64_t* segs,
+                 const float* const* rows, std::int64_t n, std::int64_t s0,
+                 std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t s = segs[i];
-    if (s >= s0 && s < s1) {
-      Fold::Apply(out + s * width, payload + i * stride, width);
-    }
+    if (s >= s0 && s < s1) Fold::Apply(out + s * width, rows[i], width);
   }
 }
 
 }  // namespace
 
-void RowAddAvx2(float* __restrict__ acc, const float* __restrict__ row,
-                std::int64_t n) {
-  AddFold::Apply(acc, row, n);
+void SegFoldAddAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldImpl<AddFold>(out, width, segs, rows, n, s0, s1);
 }
-
-void RowMaxAvx2(float* __restrict__ acc, const float* __restrict__ row,
-                std::int64_t n) {
-  MaxFold::Apply(acc, row, n);
+void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldImpl<MaxFold>(out, width, segs, rows, n, s0, s1);
 }
-
-void RowMinAvx2(float* __restrict__ acc, const float* __restrict__ row,
-                std::int64_t n) {
-  MinFold::Apply(acc, row, n);
-}
-
-void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<AddFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
-}
-void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<MaxFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
-}
-void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<MinFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
-}
-
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<AddFold>(out, width, segs, payload, stride, n, s0, s1);
-}
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<MaxFold>(out, width, segs, payload, stride, n, s0, s1);
-}
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<MinFold>(out, width, segs, payload, stride, n, s0, s1);
+void SegFoldMinAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldImpl<MinFold>(out, width, segs, rows, n, s0, s1);
 }
 
 #else  // !defined(__AVX2__)
 
-void RowAddAvx2(float* acc, const float* row, std::int64_t n) {
-  RowAddPortable(acc, row, n);
+void SegFoldAddAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldAddPortable(out, width, segs, rows, n, s0, s1);
 }
-void RowMaxAvx2(float* acc, const float* row, std::int64_t n) {
-  RowMaxPortable(acc, row, n);
+void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldMaxPortable(out, width, segs, rows, n, s0, s1);
 }
-void RowMinAvx2(float* acc, const float* row, std::int64_t n) {
-  RowMinPortable(acc, row, n);
-}
-
-void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldAddPortable(rows, width, slots, counts, payload, stride, n, partial);
-}
-void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldMaxPortable(rows, width, slots, counts, payload, stride, n, partial);
-}
-void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
-                     bool partial) {
-  SlotFoldMinPortable(rows, width, slots, counts, payload, stride, n, partial);
-}
-
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldAddPortable(out, width, segs, payload, stride, n, s0, s1);
-}
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldMaxPortable(out, width, segs, payload, stride, n, s0, s1);
-}
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldMinPortable(out, width, segs, payload, stride, n, s0, s1);
+void SegFoldMinAvx2(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
+  SegFoldMinPortable(out, width, segs, rows, n, s0, s1);
 }
 
 #endif  // defined(__AVX2__)

@@ -5,133 +5,53 @@
 namespace inferturbo {
 namespace kernels {
 namespace detail {
+namespace {
 
-void RowAddPortable(float* __restrict__ acc, const float* __restrict__ row,
-                    std::int64_t n) {
+inline void AddRow(float* __restrict__ acc, const float* __restrict__ row,
+                   std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) acc[j] += row[j];
 }
 
-void RowMaxPortable(float* __restrict__ acc, const float* __restrict__ row,
-                    std::int64_t n) {
+inline void MaxRow(float* __restrict__ acc, const float* __restrict__ row,
+                   std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) {
     if (acc[j] < row[j]) acc[j] = row[j];
   }
 }
 
-void RowMinPortable(float* __restrict__ acc, const float* __restrict__ row,
-                    std::int64_t n) {
+inline void MinRow(float* __restrict__ acc, const float* __restrict__ row,
+                   std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) {
     if (row[j] < acc[j]) acc[j] = row[j];
   }
 }
 
-namespace {
-
 template <void Fold(float*, const float*, std::int64_t)>
-void SlotFoldImpl(float* rows, std::int64_t width, const std::int32_t* slots,
-                  std::int64_t* counts, const float* payload,
-                  std::int64_t stride, std::int64_t n, bool partial) {
-  if (partial) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      counts[s] += static_cast<std::int64_t>(row[width]);
-      Fold(rows + s * width, row, width);
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      ++counts[s];
-      Fold(rows + s * width, row, width);
-    }
-  }
-}
-
-template <void Fold(float*, const float*, std::int64_t)>
-void SegFoldImpl(float* out, std::int64_t width, const std::int32_t* segs,
-                 const float* payload, std::int64_t stride, std::int64_t n,
-                 std::int64_t s0, std::int64_t s1) {
+void SegFoldImpl(float* out, std::int64_t width, const std::int64_t* segs,
+                 const float* const* rows, std::int64_t n, std::int64_t s0,
+                 std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t s = segs[i];
-    if (s >= s0 && s < s1) {
-      Fold(out + s * width, payload + i * stride, width);
-    }
+    if (s >= s0 && s < s1) Fold(out + s * width, rows[i], width);
   }
 }
 
 }  // namespace
 
-void SlotFoldAddPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowAddPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
-}
-void SlotFoldMaxPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowMaxPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
-}
-void SlotFoldMinPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
-                         const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowMinPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
-}
-
 void SegFoldAddPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowAddPortable>(out, width, segs, payload, stride, n, s0, s1);
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  SegFoldImpl<AddRow>(out, width, segs, rows, n, s0, s1);
 }
 void SegFoldMaxPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowMaxPortable>(out, width, segs, payload, stride, n, s0, s1);
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  SegFoldImpl<MaxRow>(out, width, segs, rows, n, s0, s1);
 }
 void SegFoldMinPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowMinPortable>(out, width, segs, payload, stride, n, s0, s1);
-}
-
-RowFoldFn RowAdd() {
-  static const RowFoldFn fn =
-      Avx2KernelsAvailable() ? RowAddAvx2 : RowAddPortable;
-  return fn;
-}
-
-RowFoldFn RowMax() {
-  static const RowFoldFn fn =
-      Avx2KernelsAvailable() ? RowMaxAvx2 : RowMaxPortable;
-  return fn;
-}
-
-RowFoldFn RowMin() {
-  static const RowFoldFn fn =
-      Avx2KernelsAvailable() ? RowMinAvx2 : RowMinPortable;
-  return fn;
-}
-
-SlotFoldFn SlotFold(FoldOp op) {
-  const bool avx2 = Avx2KernelsAvailable();
-  switch (op) {
-    case FoldOp::kAdd:
-      return avx2 ? SlotFoldAddAvx2 : SlotFoldAddPortable;
-    case FoldOp::kMax:
-      return avx2 ? SlotFoldMaxAvx2 : SlotFoldMaxPortable;
-    case FoldOp::kMin:
-      return avx2 ? SlotFoldMinAvx2 : SlotFoldMinPortable;
-  }
-  return avx2 ? SlotFoldAddAvx2 : SlotFoldAddPortable;
+                        const std::int64_t* segs, const float* const* rows,
+                        std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  SegFoldImpl<MinRow>(out, width, segs, rows, n, s0, s1);
 }
 
 SegFoldFn SegFold(FoldOp op) {

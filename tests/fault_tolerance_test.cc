@@ -5,6 +5,7 @@
 // produce *bit-identical* results to an undisturbed one.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 
 #include "src/graph/datasets.h"
@@ -168,12 +169,15 @@ TEST(MapReduceFaultToleranceTest, SurvivesManyFailures) {
   ASSERT_TRUE(reference.ok());
 
   InferTurboOptions faulty = clean;
-  // Every instance fails once in every reduce stage.
+  // Every instance fails once in every reduce stage. Reduce tasks call
+  // the injector concurrently from pool threads, so the tally is locked.
+  auto mu = std::make_shared<std::mutex>();
   auto counts = std::make_shared<std::map<std::pair<std::int64_t,
                                                     std::int64_t>,
                                           int>>();
-  faulty.failure_injector = [counts](std::int64_t stage,
-                                     std::int64_t instance) {
+  faulty.failure_injector = [mu, counts](std::int64_t stage,
+                                         std::int64_t instance) {
+    std::lock_guard<std::mutex> lock(*mu);
     return (*counts)[{stage, instance}]++ == 0;
   };
   const Result<InferenceResult> recovered =

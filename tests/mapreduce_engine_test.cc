@@ -117,13 +117,17 @@ TEST(MapReduceEngineTest, CombinerShrinksShuffleBytes) {
     job.RunMap([](std::int64_t, MrEmitter* emitter) {
       for (int i = 0; i < 50; ++i) emitter->Emit(7, 0, -1, One(1.0f));
     });
-    MapReduceJob::CombineFn combiner = [](const MrBlock& block,
-                                          std::span<const std::uint32_t> run,
-                                          MrEmitter* out) {
-      float folded = 0.0f;
-      for (const std::uint32_t i : run) folded += block.Floats(i)[0];
-      out->Emit(block.keys[run[0]], 0, -1, One(folded));
-    };
+    MapReduceJob::CombineFn combiner =
+        [](const MrBlock& block, std::span<const std::uint32_t> records,
+           std::span<const std::size_t> runs, MrEmitter* out) {
+          for (std::size_t r = 0; r + 1 < runs.size(); ++r) {
+            float folded = 0.0f;
+            for (std::size_t k = runs[r]; k < runs[r + 1]; ++k) {
+              folded += block.Floats(records[k])[0];
+            }
+            out->Emit(block.keys[records[runs[r]]], 0, -1, One(folded));
+          }
+        };
     float total = 0.0f;
     job.RunReduce(
         [&total](const MrKeyGroups& input, MrEmitter*) {
@@ -212,16 +216,18 @@ TEST(MapReduceEngineTest, CombinerSeesOnlySameKeyRuns) {
   std::map<std::int64_t, std::vector<float>> combined_per_key;
   MapReduceJob::CombineFn combiner =
       [&combined_per_key](const MrBlock& block,
-                          std::span<const std::uint32_t> run,
-                          MrEmitter* out) {
-        const std::int64_t key = block.keys[run[0]];
-        float folded = 0.0f;
-        for (const std::uint32_t i : run) {
-          EXPECT_EQ(block.keys[i], key);
-          folded += block.Floats(i)[0];
+                          std::span<const std::uint32_t> records,
+                          std::span<const std::size_t> runs, MrEmitter* out) {
+        for (std::size_t r = 0; r + 1 < runs.size(); ++r) {
+          const std::int64_t key = block.keys[records[runs[r]]];
+          float folded = 0.0f;
+          for (std::size_t k = runs[r]; k < runs[r + 1]; ++k) {
+            EXPECT_EQ(block.keys[records[k]], key);
+            folded += block.Floats(records[k])[0];
+          }
+          combined_per_key[key].push_back(folded);
+          out->Emit(key, 0, -1, One(folded));
         }
-        combined_per_key[key].push_back(folded);
-        out->Emit(key, 0, -1, One(folded));
       };
   std::mutex mu;  // keys 10 and 11 may reduce on different threads
   std::map<std::int64_t, float> reduced;

@@ -4,7 +4,6 @@
 
 #include "src/common/rng.h"
 #include "src/gas/gas_conv.h"
-#include "src/tensor/segment_ops.h"
 
 namespace inferturbo {
 namespace {
@@ -79,94 +78,6 @@ TEST(MessageBatchTest, IdOnlyBatchChargesReferenceBytes) {
   refs.dst.push_back(3);
   refs.src.push_back(9);
   EXPECT_EQ(refs.WireBytes(), IdOnlyMessageBytes());
-}
-
-TEST(PooledAccumulatorTest, SumAccumulates) {
-  PooledAccumulator acc(AggKind::kSum, 2);
-  const float r1[] = {1.0f, 2.0f};
-  const float r2[] = {10.0f, 20.0f};
-  acc.Add(5, r1);
-  acc.Add(5, r2);
-  acc.Add(9, r1);
-  const auto fin = acc.Finalize();
-  ASSERT_EQ(fin.dst.size(), 2u);
-  EXPECT_EQ(fin.dst[0], 5);
-  EXPECT_EQ(fin.counts[0], 2);
-  EXPECT_EQ(fin.values.At(0, 0), 11.0f);
-  EXPECT_EQ(fin.values.At(1, 1), 2.0f);
-}
-
-TEST(PooledAccumulatorTest, MeanDividesAtFinalize) {
-  PooledAccumulator acc(AggKind::kMean, 1);
-  const float a = 2.0f, b = 4.0f;
-  acc.Add(0, &a);
-  acc.Add(0, &b);
-  EXPECT_EQ(acc.Finalize().values.At(0, 0), 3.0f);
-}
-
-TEST(PooledAccumulatorTest, MaxMinSemantics) {
-  PooledAccumulator mx(AggKind::kMax, 1);
-  PooledAccumulator mn(AggKind::kMin, 1);
-  const float a = -2.0f, b = 5.0f;
-  for (auto* acc : {&mx, &mn}) {
-    acc->Add(0, &a);
-    acc->Add(0, &b);
-  }
-  EXPECT_EQ(mx.Finalize().values.At(0, 0), 5.0f);
-  EXPECT_EQ(mn.Finalize().values.At(0, 0), -2.0f);
-}
-
-TEST(PooledAccumulatorTest, PartialBatchCarriesCountColumn) {
-  PooledAccumulator acc(AggKind::kMean, 2);
-  const float r[] = {4.0f, 8.0f};
-  acc.Add(3, r);
-  acc.Add(3, r);
-  MessageBatch partial = acc.ToPartialBatch(/*from=*/7);
-  ASSERT_EQ(partial.size(), 1);
-  EXPECT_EQ(partial.payload.cols(), 3);
-  EXPECT_EQ(partial.payload.At(0, 0), 8.0f);  // running sum, not mean
-  EXPECT_EQ(partial.payload.At(0, 2), 2.0f);  // count
-  EXPECT_EQ(partial.src[0], 7);
-}
-
-// The partial-gather exactness property: splitting a message stream
-// across senders, partially pooling each side, and merging the
-// partials must equal pooling everything at the receiver.
-TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
-  Rng rng(31);
-  for (const AggKind kind :
-       {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
-    const std::int64_t num_msgs = 200, width = 3, num_nodes = 11;
-    Tensor rows = Tensor::RandomNormal(num_msgs, width, 1.0f, &rng);
-    std::vector<std::int64_t> dst;
-    for (std::int64_t i = 0; i < num_msgs; ++i) {
-      dst.push_back(static_cast<std::int64_t>(
-          rng.NextBounded(static_cast<std::uint64_t>(num_nodes))));
-    }
-
-    // Direct: everything folded at the receiver.
-    const GatherResult direct =
-        GatherIntoResult(kind, rows, dst, num_nodes, /*is_partial=*/false);
-
-    // Partial: three senders each pool a third, receiver merges.
-    std::vector<MessageBatch> partials;
-    for (int part = 0; part < 3; ++part) {
-      PooledAccumulator acc(kind, width);
-      for (std::int64_t i = part; i < num_msgs; i += 3) {
-        acc.Add(dst[static_cast<std::size_t>(i)], rows.RowPtr(i));
-      }
-      partials.push_back(acc.ToPartialBatch(part));
-    }
-    MessageBatch merged = MessageBatch::Merge(partials);
-    std::vector<std::int64_t> merged_dst(merged.dst.begin(),
-                                         merged.dst.end());
-    const GatherResult via_partial = GatherIntoResult(
-        kind, merged.payload, merged_dst, num_nodes, /*is_partial=*/true);
-
-    EXPECT_TRUE(via_partial.pooled.ApproxEquals(direct.pooled, 1e-4f))
-        << "kind=" << static_cast<int>(kind);
-    EXPECT_EQ(via_partial.counts, direct.counts);
-  }
 }
 
 TEST(SplitByWorkerTest, PreservesPerWorkerOrderAndContent) {

@@ -550,5 +550,28 @@ TEST_F(ObservabilityTest, FullPlaneDoesNotChangeMapReduceLogits) {
   EXPECT_GT(FlightRecordTotalEvents(), 0u);
 }
 
+// Every message fold, on both backends, runs through the one segment
+// fold and charges its kernel counters, so a Pregel partial-gather job
+// (sender combine plus receiver gather) must show up under
+// kernel.segment_sum like the MapReduce reduce does.
+TEST_F(ObservabilityTest, PregelPartialGatherChargesTheSegmentFold) {
+  const Dataset dataset = ObservabilityDataset();
+  const std::unique_ptr<GnnModel> model = ObservabilityModel(dataset.graph);
+  InferTurboOptions options;
+  options.num_workers = 4;
+  options.strategies.partial_gather = true;
+  SetMetricsEnabled(true);
+  const Result<InferenceResult> run =
+      RunInferTurboPregel(dataset.graph, *model, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const MetricRegistry::Sample sample = GlobalMetrics().TakeSample();
+  for (const char* field : {"calls", "flops", "bytes"}) {
+    const auto it =
+        sample.counters.find(std::string("kernel.segment_sum.") + field);
+    ASSERT_NE(it, sample.counters.end()) << field;
+    EXPECT_GT(it->second, 0) << field;
+  }
+}
+
 }  // namespace
 }  // namespace inferturbo

@@ -8,6 +8,7 @@
 // not "optimize" it.
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "tests/oracles/superstep_gather_scalar.h"
@@ -125,6 +126,43 @@ GatherResult GatherSuperstepInboxScalar(
     }
   }
   return result;
+}
+
+MessageBatch CombineMessagesScalar(AggKind kind, const MessageBatch& batch,
+                                   NodeId from) {
+  std::unordered_map<NodeId, std::int64_t> slot_of;
+  std::vector<NodeId> order;
+  NodeId max_dst = -1;
+  for (const NodeId d : batch.dst) {
+    if (slot_of.emplace(d, static_cast<std::int64_t>(order.size())).second) {
+      order.push_back(d);
+    }
+    max_dst = std::max(max_dst, d);
+  }
+  std::vector<std::int64_t> local_index(static_cast<std::size_t>(max_dst + 1),
+                                        0);
+  for (const auto& [d, slot] : slot_of) {
+    local_index[static_cast<std::size_t>(d)] = slot;
+  }
+  const std::int64_t msg_dim = batch.payload.cols();
+  const auto slots = static_cast<std::int64_t>(order.size());
+  const GatherResult folded = GatherSuperstepInboxScalar(
+      kind == AggKind::kMean ? AggKind::kSum : kind, msg_dim,
+      std::span<const MessageBatch>(&batch, 1), {false}, local_index, slots,
+      BroadcastLookupFn{});
+  MessageBatch partial;
+  partial.payload = Tensor(slots, msg_dim + 1);
+  for (std::int64_t s = 0; s < slots; ++s) {
+    float* row = partial.payload.RowPtr(s);
+    for (std::int64_t j = 0; j < msg_dim; ++j) {
+      row[j] = folded.pooled.At(s, j);
+    }
+    row[msg_dim] =
+        static_cast<float>(folded.counts[static_cast<std::size_t>(s)]);
+  }
+  partial.src.assign(order.size(), from);
+  partial.dst = std::move(order);
+  return partial;
 }
 
 }  // namespace inferturbo

@@ -22,6 +22,16 @@ GatherResult GatherSuperstepInboxScalar(
     std::span<const std::int64_t> local_index, std::int64_t num_nodes,
     const BroadcastLookupFn& lookup);
 
+/// The scalar sender combine: first-seen destination slots through a
+/// hash map, then GatherSuperstepInboxScalar over the dense `batch`
+/// with each destination's slot as its local index (sums for mean),
+/// emitted as the partial wire batch: one row per destination in
+/// first-seen order with the folded count appended, src = `from`. The
+/// oracle CombineMessages is held to and bench_superstep's combine rows
+/// are timed against.
+MessageBatch CombineMessagesScalar(AggKind kind, const MessageBatch& batch,
+                                   NodeId from);
+
 }  // namespace inferturbo
 
 #endif  // INFERTURBO_TESTS_ORACLES_SUPERSTEP_GATHER_SCALAR_H_

@@ -1,5 +1,5 @@
 // The kernel scheduling contracts on the one pool: the
-// RangeBegin/RangeOwner partition algebra, exact task counts in
+// RangeBegin partition algebra, exact task counts in
 // ParallelForChunksFixed (even beyond the thread count), serial inline
 // launches from inside a pool task, exact coverage under concurrent
 // back-to-back launches (the tsan job runs this binary to vet the
@@ -44,22 +44,6 @@ TEST(RangePartition, BoundariesCoverEverythingExactlyOnce) {
   }
 }
 
-TEST(RangePartition, OwnerIsTheClosedFormInverse) {
-  for (const std::int64_t n : {1, 2, 7, 10, 16, 1000, 4097}) {
-    for (const std::int64_t tasks : {1, 2, 3, 4, 7, 8}) {
-      if (tasks > n) continue;
-      for (std::int64_t t = 0; t < tasks; ++t) {
-        const std::int64_t begin = kernels::RangeBegin(n, t, tasks);
-        const std::int64_t end = kernels::RangeBegin(n, t + 1, tasks);
-        for (std::int64_t i = begin; i < end; ++i) {
-          ASSERT_EQ(kernels::RangeOwner(i, n, tasks), t)
-              << "i=" << i << " n=" << n << " tasks=" << tasks;
-        }
-      }
-    }
-  }
-}
-
 class ChunkApiTest : public ::testing::Test {
  protected:
   void SetUp() override { saved_ = kernels::GetKernelConfig(); }
@@ -80,7 +64,7 @@ TEST_F(ChunkApiTest, FixedTaskCountIsHonoredBeyondThreads) {
   UseThreads(4);
   // 11 tasks on a pool of at most a few threads: every task index must
   // still be delivered exactly once with the exact partition
-  // boundaries — owner-bucketed data built for 11 tasks depends on it.
+  // boundaries — state partitioned for 11 tasks depends on it.
   constexpr int kTasks = 11;
   constexpr std::int64_t kN = 103;
   std::vector<std::atomic<int>> hits(kTasks);
